@@ -2,7 +2,7 @@
 census, run the claim sweep, and export Hasse diagrams.
 
 Exit codes: 0 success, 1 sweep found violations, 2 malformed input,
-3 internal cross-check failure.
+3 internal cross-check failure or any other unexpected internal error.
 """
 
 from __future__ import annotations
@@ -203,6 +203,9 @@ def main(argv=None) -> int:
     except (SemigroupError, OSError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not bad input: never the "violations" code 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

@@ -230,23 +230,22 @@ def longest_chain_elements(s: FiniteSemigroup, relation: str) -> tuple[int, ...]
     if relation not in ORDERED_RELATIONS:
         raise ValueError(f"chains are defined for {ORDERED_RELATIONS}, not {relation!r}")
     masks = below_masks(s, relation)
-    best: dict[int, tuple[int, ...]] = {}
-
-    def chain_from(a):
-        got = best.get(a)
-        if got is None:
-            tails = [chain_from(b) for b in _strictly_below(masks, a)]
-            longest = max(tails, key=len, default=())
-            got = (a,) + longest
-            best[a] = got
-        return got
-
-    overall: tuple[int, ...] = ()
-    for a in range(s.order):
-        c = chain_from(a)
-        if len(c) > len(overall):
-            overall = c
-    return overall
+    n = s.order
+    # length[a] counts the longest chain from a down; it continues at step[a],
+    # the least index among the longest tails
+    length = [0] * n
+    step: list[int | None] = [None] * n
+    # an element strictly below a has a strictly smaller below-set
+    for a in sorted(range(n), key=lambda a: masks[a].bit_count()):
+        b = max(_strictly_below(masks, a), key=length.__getitem__, default=None)
+        step[a] = b
+        length[a] = 1 + (0 if b is None else length[b])
+    a = max(range(n), key=length.__getitem__)
+    chain = []
+    while a is not None:
+        chain.append(a)
+        a = step[a]
+    return tuple(chain)
 
 
 def height_within_ideal(s: FiniteSemigroup, ideal: Ideal, relation: str) -> int:
@@ -270,21 +269,17 @@ def height_within_ideal(s: FiniteSemigroup, ideal: Ideal, relation: str) -> int:
     ]
     reps = {i: structure.classes[i][0] for i in inside}
     best: dict[int, int] = {}
-
-    def chain_from(i):
-        got = best.get(i)
-        if got is None:
-            below = [
-                j
-                for j in inside
-                if j != i and (masks[reps[i]] >> reps[j]) & 1
-            ]
-            got = 1 + max((chain_from(j) for j in below), default=0)
-            best[i] = got
-        return got
+    # a class strictly below i has a strictly smaller below-set
+    for i in sorted(inside, key=lambda i: masks[reps[i]].bit_count()):
+        below = [
+            best[j]
+            for j in inside
+            if j != i and (masks[reps[i]] >> reps[j]) & 1
+        ]
+        best[i] = 1 + max(below, default=0)
 
     # an ideal is a union of K-classes, so a nonempty ideal contains one
-    return max(chain_from(i) for i in inside)
+    return max(best.values())
 
 
 def idempotent_height(s: FiniteSemigroup) -> int:
@@ -294,23 +289,15 @@ def idempotent_height(s: FiniteSemigroup) -> int:
     if not idempotents:
         raise ValueError("finite semigroup without idempotents: invalid input")
 
-    def strictly_below(e):
-        return [
-            f
-            for f in idempotents
-            if f != e and table[e][f] == f and table[f][e] == f
-        ]
-
+    below = {
+        e: [f for f in idempotents if f != e and table[e][f] == f and table[f][e] == f]
+        for e in idempotents
+    }
     best: dict[int, int] = {}
-
-    def chain_from(e):
-        got = best.get(e)
-        if got is None:
-            got = 1 + max((chain_from(f) for f in strictly_below(e)), default=0)
-            best[e] = got
-        return got
-
-    return max(chain_from(e) for e in idempotents)
+    # f < e in the natural order makes below[f] a proper subset of below[e]
+    for e in sorted(idempotents, key=lambda e: len(below[e])):
+        best[e] = 1 + max((best[f] for f in below[e]), default=0)
+    return max(best.values())
 
 
 @dataclass(frozen=True)

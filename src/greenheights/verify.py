@@ -12,6 +12,7 @@ instead of producing a violation, because they can only mean a bug here.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 from .constructions import rees_quotient, u_of
@@ -571,7 +572,8 @@ def _evaluate_input(provenance: str, s: FiniteSemigroup):
 
 def _worker(payload):
     provenance, text = payload
-    return _evaluate_input(provenance, parse_mtab(text))
+    with _provenance_attached(provenance):
+        return _evaluate_input(provenance, parse_mtab(text))
 
 
 def _with_provenance(exc: Exception, provenance: str) -> Exception:
@@ -579,6 +581,17 @@ def _with_provenance(exc: Exception, provenance: str) -> Exception:
         return type(exc)(f"{provenance}: {exc}")
     except Exception:
         return SemigroupError(f"{provenance}: {exc}")
+
+
+@contextmanager
+def _provenance_attached(provenance: str):
+    """Re-raise errors naming the input; InternalCheckError passes through as is."""
+    try:
+        yield
+    except InternalCheckError:
+        raise
+    except Exception as exc:
+        raise _with_provenance(exc, provenance) from exc
 
 
 def _as_inputs(source):
@@ -590,12 +603,9 @@ def _as_inputs(source):
 
     for item in source:
         if isinstance(item, str):
-            try:
-                yield item, recipes.build_from_string(item)
-            except InternalCheckError:
-                raise
-            except Exception as exc:
-                raise _with_provenance(exc, item) from exc
+            with _provenance_attached(item):
+                s = recipes.build_from_string(item)
+            yield item, s
         else:
             provenance, s = item
             yield provenance, s
@@ -619,12 +629,8 @@ def sweep(source, jobs: int = 1) -> SweepSummary:
             outcomes = list(pool.map(_worker, payloads, chunksize=16))
     else:
         for provenance, s in pairs:
-            try:
+            with _provenance_attached(provenance):
                 outcomes.append(_evaluate_input(provenance, s))
-            except InternalCheckError:
-                raise
-            except Exception as exc:
-                raise _with_provenance(exc, provenance) from exc
 
     stats = {claim_id: [0, 0] for claim_id in CLAIM_IDS}
     violations: list[Violation] = []

@@ -142,6 +142,16 @@ def test_internal_check_failure_exits_three(capsys, monkeypatch):
     assert "internal cross-check failure" in err
 
 
+def test_unexpected_exception_exits_three_with_one_line(capsys, monkeypatch):
+    def boom(_):
+        raise RuntimeError("induced for the exit-code test")
+
+    monkeypatch.setattr(cli_module, "analyze", boom)
+    code, _, err = run(capsys, "analyze", "fixture:fig1_s")
+    assert code == 3
+    assert err == "internal error: RuntimeError: induced for the exit-code test\n"
+
+
 def test_parse_errors_exit_two(capsys, tmp_path):
     bad = tmp_path / "bad.mtab"
     bad.write_text("2\n0 1\n0\n")

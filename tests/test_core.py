@@ -1,4 +1,6 @@
+import enum
 import itertools
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +23,22 @@ from greenheights import (
     parse_mtab,
     parse_mtab_stream,
 )
+from greenheights.core import (
+    _first_associativity_failure,
+    _is_associative,
+    _magma_generators,
+)
+from greenheights.enumeration import associative_tables
 from greenheights.green import below_masks
 
-from helpers import census, left_zero, right_zero, cyclic_group
+from helpers import (
+    census,
+    census_tables,
+    cyclic_group,
+    left_zero,
+    right_zero,
+    sampled_zero_semigroups,
+)
 
 
 def test_trivial_semigroup_has_identity_and_zero():
@@ -96,6 +111,114 @@ def test_build_accepts_exactly_the_associative_tables(table):
     except AssociativityError:
         accepted = False
     assert accepted == associative
+
+
+def _assert_light_test_matches_the_scan(table):
+    """Light's test and the triple scan agree, and a rejection names the scan's triple."""
+    rows = [tuple(row) for row in table]
+    witness = _first_associativity_failure(rows)
+    assert _is_associative(rows) == (witness is None)
+    if witness is None:
+        assert build_semigroup(table).table == tuple(rows)
+    else:
+        with pytest.raises(AssociativityError) as info:
+            build_semigroup(table)
+        assert info.value.witness == witness
+
+
+def test_light_test_matches_the_scan_on_every_table_of_order_at_most_3():
+    for n in (1, 2, 3):
+        for flat in itertools.product(range(n), repeat=n * n):
+            _assert_light_test_matches_the_scan(
+                [flat[i * n:(i + 1) * n] for i in range(n)]
+            )
+
+
+@lru_cache(maxsize=None)
+def _order_five_tables():
+    # a stride through the start of the census, plus transformation semigroups
+    spread = itertools.islice(associative_tables(5), 0, 10000, 20)
+    closures = (s.table for s in sampled_zero_semigroups(60) if s.order == 5)
+    return tuple(spread) + tuple(closures)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_light_test_matches_the_scan_on_perturbed_census_tables(data):
+    order = data.draw(st.sampled_from((4, 5)))
+    tables = census_tables(4) if order == 4 else _order_five_tables()
+    table = [list(row) for row in data.draw(st.sampled_from(tables))]
+    i, j = data.draw(st.integers(0, order - 1)), data.draw(st.integers(0, order - 1))
+    table[i][j] = data.draw(st.integers(0, order - 1).filter(lambda v: v != table[i][j]))
+    _assert_light_test_matches_the_scan(table)
+
+
+def _magma_closure(rows, seed):
+    reached = set(seed)
+    while True:
+        fresh = {rows[a][b] for a in reached for b in reached} - reached
+        if not fresh:
+            return reached
+        reached |= fresh
+
+
+def _greedy_generators(table):
+    rows = [tuple(row) for row in table]
+    generators = _magma_generators(rows)
+    n = len(rows)
+    assert _magma_closure(rows, generators) == set(range(n))
+    for k, g in enumerate(generators):  # greedy: no generator is redundant so far
+        assert g not in _magma_closure(rows, generators[:k])
+    return generators
+
+
+def test_greedy_generators_generate_the_census_and_constructions():
+    tables = [s.table for s in census(3) + census(4)]
+    tables += [fixture(name).table for name in ("fig1_s", "fig1_u", "fig2_u2")]
+    tables += [cyclic_group(5).table, direct_product(cyclic_group(2), cyclic_group(3)).table]
+    for table in tables:
+        _greedy_generators(table)
+    assert _greedy_generators(cyclic_group(5).table) == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[0] * 6 for _ in range(6)],  # null
+        [[x] * 6 for x in range(6)],  # left zero
+        [[max(x, y) for y in range(6)] for x in range(6)],  # chain semilattice
+        [[min(x, y) for y in range(6)] for x in range(6)],
+    ],
+    ids=["null", "left-zero", "max-chain", "min-chain"],
+)
+def test_tables_whose_generating_set_is_everything(table):
+    assert _greedy_generators(table) == list(range(6))
+
+
+class _Small(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([[0, True], [0, 0]], "table entry at row 0, column 1 is True, not in 0..1"),
+        ([[0, 0], [0, 2]], "table entry at row 1, column 1 is 2, not in 0..1"),
+        ([[0, 0], [-1, 0]], "table entry at row 1, column 0 is -1, not in 0..1"),
+        ([[0, 1.0], [0, 0]], "table entry at row 0, column 1 is 1.0, not in 0..1"),
+        ([[0, "1"], [0, 0]], "table entry at row 0, column 1 is '1', not in 0..1"),
+    ],
+)
+def test_bad_entries_name_their_cell(table, message):
+    with pytest.raises(IndexError) as info:
+        build_semigroup(table)
+    assert str(info.value) == message
+
+
+def test_int_subclass_entries_in_range_are_accepted():
+    s = build_semigroup([[_Small.ZERO, _Small.ZERO], [_Small.ONE, _Small.ONE]])
+    assert s.table == ((0, 0), (1, 1))
 
 
 def test_adjoin_identity_always_adds_a_fresh_element():

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenheights import (
+    FiniteSemigroup,
+    Ideal,
     build_semigroup,
     fixture,
     height_within_ideal,
@@ -314,3 +316,13 @@ def test_dot_export_is_stable_and_sorted():
 def test_dot_export_refuses_d():
     with pytest.raises(ValueError):
         to_dot(fixture("fig1_s"), "D")
+
+
+def test_longest_path_dps_handle_a_chain_of_order_1000():
+    # x*y = max(x, y): a chain semilattice with 0 on top. Built directly,
+    # since every element is a generator and validation would cost n^3.
+    n = 1000
+    s = FiniteSemigroup(tuple(tuple(max(x, y) for y in range(n)) for x in range(n)))
+    assert longest_chain_elements(s, "L") == tuple(range(n))
+    assert height_within_ideal(s, Ideal(s, frozenset(range(n))), "L") == n
+    assert idempotent_height(s) == n

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import pytest
 
@@ -15,12 +16,15 @@ from greenheights import (
     squarefree_words,
     sweep,
 )
+from greenheights.errors import InternalCheckError
 from greenheights.verify import (
     SCHEMA,
     input_record,
     report_payload,
     summary_csv_rows,
 )
+
+import greenheights.verify as verify_module
 
 from helpers import census
 
@@ -162,6 +166,29 @@ def test_sweep_propagates_construction_errors_with_provenance():
     with pytest.raises(Exception) as info:
         sweep(["nm:2,9"])
     assert "nm:2,9" in str(info.value)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers must inherit the patched evaluator",
+)
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (RuntimeError("induced"), "fixture:fig1_s: induced"),
+        (InternalCheckError("induced"), "induced"),
+    ],
+)
+def test_sweep_errors_are_the_same_with_and_without_workers(monkeypatch, error, message):
+    def boom(_):
+        raise error
+
+    monkeypatch.setitem(verify_module._EVALUATORS, "thm6.5", boom)
+    for jobs in (1, 2):
+        with pytest.raises(type(error)) as info:
+            sweep(["fixture:fig1_s", "fixture:fig1_u"], jobs=jobs)
+        assert type(info.value) is type(error)
+        assert str(info.value) == message
 
 
 def test_violation_reproducibility_round_trip():
