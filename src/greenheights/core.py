@@ -295,7 +295,12 @@ def ideal_closure(s: FiniteSemigroup, seed) -> Ideal:
 # optional trailing lines: "names: a b c", "identity: i", "zero: j"
 
 def parse_mtab(text: str) -> FiniteSemigroup:
-    """Parse one table in mtab v1 format. Rejects ragged rows."""
+    """Parse one table in mtab v1 format.
+
+    Malformed text, ragged rows, duplicate names and identity or zero hints
+    that the table does not bear out raise ParseError naming the line; a
+    non-associative table raises AssociativityError.
+    """
     lines = text.splitlines()
     entries = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
     if not entries:
@@ -332,8 +337,7 @@ def parse_mtab(text: str) -> FiniteSemigroup:
             row.append(v)
         rows.append(row)
     names = None
-    identity = None
-    zero = None
+    hints = {}  # "identity"/"zero" -> (index, line number)
     for lineno, line in entries[1 + n:]:
         key, _, rest = line.partition(":")
         key = key.strip().lower()
@@ -344,6 +348,8 @@ def parse_mtab(text: str) -> FiniteSemigroup:
                 raise ParseError(
                     f"names line has {len(names)} entries, expected {n}", line=lineno
                 )
+            if len(set(names)) != n:
+                raise ParseError("element names must be pairwise distinct", line=lineno)
         elif key in ("identity", "zero"):
             try:
                 v = int(rest)
@@ -351,13 +357,15 @@ def parse_mtab(text: str) -> FiniteSemigroup:
                 raise ParseError(f"{key} must be an index, got {rest!r}", line=lineno) from None
             if not 0 <= v < n:
                 raise ParseError(f"{key} index {v} not in 0..{n - 1}", line=lineno)
-            if key == "identity":
-                identity = v
-            else:
-                zero = v
+            hints[key] = (v, lineno)
         else:
             raise ParseError(f"unrecognised trailing line {line!r}", line=lineno)
-    return build_semigroup(rows, names, identity, zero)
+    s = build_semigroup(rows, names)
+    for key, detected in (("identity", s.identity), ("zero", s.zero)):
+        if key in hints and hints[key][0] != detected:
+            v, lineno = hints[key]
+            raise ParseError(f"element {v} is not a two-sided {key}", line=lineno)
+    return s
 
 
 def parse_mtab_stream(text: str) -> list[FiniteSemigroup]:

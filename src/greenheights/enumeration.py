@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .core import FiniteSemigroup, build_semigroup
@@ -130,34 +131,54 @@ def brute_force_tables(order: int) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
-def _relabel(table, perm):
-    n = len(table)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        pi = perm[i]
-        row = table[i]
-        for j in range(n):
-            out[pi][perm[j]] = perm[row[j]]
-    return tuple(tuple(row) for row in out)
+@lru_cache(maxsize=1)
+def _relabellings(n):
+    """Every permutation of range(n), identity first, with its inverse.
 
-
-def _transpose(table):
-    return tuple(tuple(row) for row in zip(*table))
+    The inverse is stored per cell: ``source[i*n + j] = inv[i]*n + inv[j]`` is
+    the position in the row-major source table that lands in cell (i, j).
+    Only the last order is kept, since a census canonicalises one order at a
+    time and the n! pairs grow quickly with n.
+    """
+    out = []
+    for perm in itertools.permutations(range(n)):
+        inv = [0] * n
+        for i, p in enumerate(perm):
+            inv[p] = i
+        source = tuple(inv[i] * n + inv[j] for i in range(n) for j in range(n))
+        out.append((perm, source))
+    return tuple(out)
 
 
 def canonical_table(table, fold_anti_isomorphs: bool = False):
-    """Lexicographically least relabelling, optionally also over the transpose."""
+    """Lexicographically least relabelling, optionally also over the transpose.
+
+    The relabelling of ``start`` by ``perm``, whose inverse is ``inv``, has
+    cell (i, j) equal to ``perm[start[inv[i]][inv[j]]]``. All n! relabellings of the table (and of
+    its transpose when ``fold_anti_isomorphs``) are compared against the
+    least one so far, starting from the table itself, cell by cell in
+    row-major order; each comparison stops at the first differing cell, and a
+    candidate is built only when it is strictly smaller. So the cost is n!
+    comparisons per start, each usually decided within a few cells, instead
+    of n! tables of n*n cells.
+    """
     n = len(table)
-    starts = [tuple(tuple(row) for row in table)]
+    best = tuple(v for row in table for v in row)
+    starts = [best]
     if fold_anti_isomorphs:
-        starts.append(_transpose(table))
-    best = None
+        starts.append(tuple(v for column in zip(*table) for v in column))
+    relabellings = _relabellings(n)
     for start in starts:
-        for perm in itertools.permutations(range(n)):
-            candidate = _relabel(start, perm)
-            if best is None or candidate < best:
-                best = candidate
-    return best
+        for perm, source in relabellings:
+            for k, least in zip(source, best):
+                cell = perm[start[k]]
+                if cell != least:
+                    break
+            else:
+                continue
+            if cell < least:
+                best = tuple([perm[start[k]] for k in source])
+    return tuple(best[i * n:(i + 1) * n] for i in range(n))
 
 
 def enumerate_semigroups(config: EnumerationConfig) -> Iterator[FiniteSemigroup]:

@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 from .constructions import rees_quotient, u_of
-from .core import FiniteSemigroup, Ideal, format_mtab, ideal_closure, parse_mtab
+from .core import FiniteSemigroup, Ideal, format_mtab, ideal_closure
 from .enumeration import EnumerationConfig, enumerate_semigroups
 from .errors import InternalCheckError, SemigroupError
 from .green import (
@@ -571,9 +571,9 @@ def _evaluate_input(provenance: str, s: FiniteSemigroup):
 
 
 def _worker(payload):
-    provenance, text = payload
+    provenance, s = payload
     with _provenance_attached(provenance):
-        return _evaluate_input(provenance, parse_mtab(text))
+        return _evaluate_input(provenance, s)
 
 
 def _with_provenance(exc: Exception, provenance: str) -> Exception:
@@ -624,9 +624,8 @@ def sweep(source, jobs: int = 1) -> SweepSummary:
 
     outcomes = []
     if jobs > 1:
-        payloads = [(provenance, format_mtab(s)) for provenance, s in pairs]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_worker, payloads, chunksize=16))
+            outcomes = list(pool.map(_worker, pairs, chunksize=16))
     else:
         for provenance, s in pairs:
             with _provenance_attached(provenance):

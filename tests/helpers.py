@@ -1,10 +1,16 @@
 """Shared test utilities: cached censuses, a naive preorder, small builders."""
 
+import itertools
 import random
 from functools import lru_cache
 
 from greenheights import build_semigroup
-from greenheights.enumeration import associative_tables, closure, compose
+from greenheights.enumeration import (
+    associative_tables,
+    closure,
+    compose,
+    random_transformation_subsemigroup,
+)
 
 
 @lru_cache(maxsize=None)
@@ -15,6 +21,36 @@ def census_tables(order):
 @lru_cache(maxsize=None)
 def census(order):
     return tuple(build_semigroup(t) for t in census_tables(order))
+
+
+@lru_cache(maxsize=None)
+def order_five_prefix(count):
+    """The first ``count`` order-5 tables of the (lexicographic) census."""
+    return tuple(itertools.islice(associative_tables(5), count))
+
+
+def brute_force_canonical_table(table, fold_anti_isomorphs=False):
+    """Oracle for canonical_table: build every relabelling, keep the least.
+
+    Relabelling by ``perm`` sends cell (i, j) with value v to cell
+    (perm[i], perm[j]) with value perm[v]; with ``fold_anti_isomorphs`` the
+    relabellings of the transpose compete as well.
+    """
+    n = len(table)
+    starts = [tuple(tuple(row) for row in table)]
+    if fold_anti_isomorphs:
+        starts.append(tuple(tuple(row) for row in zip(*table)))
+    best = None
+    for start in starts:
+        for perm in itertools.permutations(range(n)):
+            out = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    out[perm[i]][perm[j]] = perm[start[i][j]]
+            candidate = tuple(tuple(row) for row in out)
+            if best is None or candidate < best:
+                best = candidate
+    return best
 
 
 def adjoin_zero(s):
@@ -66,6 +102,25 @@ def sampled_zero_semigroups(count):
                 out.append(s)
         seed += 1
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def order_five_and_six_samples():
+    """Order-5/6 semigroups with and without zero.
+
+    Every 50th of the first 10,000 order-5 census tables, the seeded
+    transformation closures of degree 3 that have order 5 or 6, and the
+    zero-extended closures of ``sampled_zero_semigroups``.
+    """
+    stride = tuple(build_semigroup(t) for t in order_five_prefix(10000)[::50])
+    closures = tuple(
+        s
+        for s in (
+            random_transformation_subsemigroup(3, 1 + seed % 3, seed) for seed in range(300)
+        )
+        if s.order in (5, 6)
+    )
+    return stride + closures + sampled_zero_semigroups(500)
 
 
 def naive_leq(s, relation, a, b):

@@ -166,6 +166,15 @@ def test_parse_errors_exit_two(capsys, tmp_path):
     assert code == 2
 
 
+def test_duplicate_names_and_false_hints_exit_two(capsys, tmp_path):
+    bad = tmp_path / "bad.mtab"
+    for last_line in ("names: a a", "identity: 0", "zero: 1"):
+        bad.write_text(f"2\n0 0\n1 1\n{last_line}\n")
+        code, _, err = run(capsys, "analyze", str(bad))
+        assert code == 2
+        assert err.startswith("error: line 4: ")
+
+
 def test_non_associative_input_exits_two(capsys, tmp_path):
     bad = tmp_path / "bad.mtab"
     bad.write_text("2\n1 0\n0 0\n")

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from greenheights import (
     AssociativityError,
     EmptyIdealError,
+    FiniteSemigroup,
     Ideal,
     InvalidIdealError,
     ParseError,
+    SemigroupError,
     adjoin_identity,
     build_semigroup,
     direct_product,
@@ -328,6 +330,63 @@ def test_mtab_rejects_bad_metadata():
         parse_mtab("1\n0\nzero: 4\n")
     with pytest.raises(ParseError):
         parse_mtab("1\n0\ncolour: red\n")
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("2\n0 0\n1 1\nnames: a a\n", 4, "element names must be pairwise distinct"),
+        ("2\n0 0\n1 1\nidentity: 0\n", 4, "element 0 is not a two-sided identity"),
+        ("2\n0 0\n1 1\nnames: a b\nzero: 1\n", 5, "element 1 is not a two-sided zero"),
+    ],
+    ids=["duplicate-names", "false-identity", "false-zero"],
+)
+def test_mtab_rejects_names_and_hints_the_table_does_not_bear_out(text, line, message):
+    # the left-zero table: distinct names needed, no identity, no zero
+    with pytest.raises(ParseError) as info:
+        parse_mtab(text)
+    assert info.value.line == line
+    assert str(info.value) == f"line {line}: {message}"
+
+
+def test_mtab_accepts_hints_the_table_bears_out():
+    s = parse_mtab("2\n0 1\n1 1\nnames: e z\nidentity: 0\nzero: 1\n")
+    assert (s.names, s.identity, s.zero) == (("e", "z"), 0, 1)
+
+
+@st.composite
+def mtab_like_texts(draw):
+    """Mostly well-formed mtab text: small tables, names, hints, at most one flaw."""
+    n = draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, n - 1).map(str), min_size=n, max_size=n)
+    lines = [str(n)] + [" ".join(draw(row)) for _ in range(n)]
+    if draw(st.booleans()):
+        names = st.lists(st.sampled_from(["a", "b", "c", "a_b"]), min_size=n, max_size=n)
+        lines.append("names: " + " ".join(draw(names)))
+    for key in ("identity", "zero"):
+        if draw(st.booleans()):
+            lines.append(f"{key}: {draw(st.integers(0, n - 1))}")
+    flaw = draw(st.sampled_from(["none", "none", "replace", "insert"]))
+    if flaw != "none":
+        at = draw(st.integers(0, len(lines) - 1))
+        junk = draw(
+            st.text(max_size=8) | st.sampled_from(["-1", "4", "1.0", "Zero: 0", "colour: 1"])
+        )
+        if flaw == "replace":
+            lines[at] = junk
+        else:
+            lines.insert(at, junk)
+    return "\n".join(lines)
+
+
+@settings(max_examples=400)
+@given(st.text() | mtab_like_texts())
+def test_parse_mtab_yields_a_semigroup_or_a_semigroup_error(text):
+    try:
+        s = parse_mtab(text)
+    except SemigroupError:
+        return
+    assert isinstance(s, FiniteSemigroup)
 
 
 def test_mtab_stream_parses_blank_separated_tables():

@@ -19,7 +19,7 @@ from greenheights.enumeration import (
     compose,
 )
 
-from helpers import census_tables
+from helpers import brute_force_canonical_table, census_tables, order_five_prefix
 
 
 def test_backtracking_equals_the_filter_oracle_table_for_table():
@@ -44,8 +44,24 @@ def test_isomorphism_class_counts():
     assert iso_count(1, False) == 1
     assert iso_count(2, False) == 5
     assert iso_count(3, False) == 24
+    assert iso_count(4, False) == 188
     assert iso_count(2, True) == 4
     assert iso_count(3, True) == 18
+    assert iso_count(4, True) == 126
+
+
+@pytest.mark.parametrize("fold", [False, True])
+def test_canonical_table_matches_the_brute_force_oracle(fold):
+    tables = [t for order in (1, 2, 3, 4) for t in census_tables(order)]
+    tables += order_five_prefix(10000)[::20]
+    for table in tables:
+        assert canonical_table(table, fold) == brute_force_canonical_table(table, fold)
+
+
+def test_canonical_table_accepts_lists_and_returns_tuples():
+    table = [[1, 1], [1, 1]]
+    assert canonical_table(table) == ((0, 0), (0, 0))
+    assert canonical_table([[0, 1], [0, 1]], fold_anti_isomorphs=True) == ((0, 0), (1, 1))
 
 
 def test_iso_filter_agrees_with_filter_after_generate():

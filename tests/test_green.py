@@ -20,9 +20,10 @@ from greenheights import (
     squarefree_words,
     to_dot,
 )
+from greenheights.green import below_masks
 from greenheights.structure import left_socle
 
-from helpers import census, cyclic_group, left_zero, naive_leq
+from helpers import census, cyclic_group, left_zero, naive_leq, order_five_and_six_samples
 
 
 def test_trivial_preorder_is_the_full_relation():
@@ -62,6 +63,16 @@ def test_preorders_match_their_definitions(s):
         for a in range(s.order):
             for b in range(s.order):
                 assert le[a][b] == naive_leq(s, relation, a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.deferred(lambda: st.sampled_from(order_five_and_six_samples())))
+def test_below_masks_match_their_definitions_on_orders_five_and_six(s):
+    for relation in ("L", "R", "J", "H"):
+        masks = below_masks(s, relation)
+        for a in range(s.order):
+            for b in range(s.order):
+                assert bool(masks[b] >> a & 1) == naive_leq(s, relation, a, b)
 
 
 @settings(max_examples=40)

@@ -162,6 +162,16 @@ def test_sweep_parallel_matches_sequential():
     assert sequential.records == parallel.records
 
 
+def test_sweep_workers_accept_names_that_differ_only_in_whitespace():
+    # mtab text maps whitespace in names to "_", so these two names would collide
+    s = build_semigroup([[0, 0], [0, 0]], names=["a b", "a_b"])
+    sequential = sweep([("spaced", s)], jobs=1)
+    parallel = sweep([("spaced", s)], jobs=2)
+    assert parallel.records == sequential.records
+    assert parallel.claim_stats == sequential.claim_stats
+    assert parallel.violations == sequential.violations == []
+
+
 def test_sweep_propagates_construction_errors_with_provenance():
     with pytest.raises(Exception) as info:
         sweep(["nm:2,9"])
