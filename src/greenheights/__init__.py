@@ -3,11 +3,9 @@ structural predicates, extremal constructions, and a claim-checking harness."""
 
 from .constructions import (
     FIXTURE_NAMES,
-    ConstructionRecipe,
     asym_family,
     fixture,
     nm_family,
-    realize_recipe,
     rees_quotient,
     squarefree_words,
     u_of,

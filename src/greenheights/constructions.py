@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
 
 from .core import (
     FiniteSemigroup,
@@ -14,7 +13,6 @@ from .core import (
     adjoin_identity,
     build_semigroup,
     direct_product,
-    ideal_closure,
     opposite,
     unique_names,
 )
@@ -230,62 +228,3 @@ def fixture(name: str) -> FiniteSemigroup:
             "no finite truncation, so no table is provided"
         )
     raise UnknownFixtureError(f"unknown fixture {name!r}")
-
-
-@dataclass(frozen=True)
-class ConstructionRecipe:
-    """A CLI-facing description of one construction call.
-
-    kinds and parameters:
-      rees_quotient     (source_id, seed elements...)  quotient by the ideal
-                        closure of the seed
-      u_of              (source_id,)
-      nm_family         (n, m)
-      asym_family       (n,)
-      squarefree_words  (k,)
-      fixture           (name,)
-    """
-
-    kind: str
-    parameters: tuple
-
-    def __post_init__(self):
-        kinds = (
-            "rees_quotient",
-            "u_of",
-            "nm_family",
-            "asym_family",
-            "squarefree_words",
-            "fixture",
-        )
-        if self.kind not in kinds:
-            raise RangeError(f"unknown construction kind {self.kind!r}")
-        object.__setattr__(self, "parameters", tuple(self.parameters))
-
-
-def realize_recipe(recipe: ConstructionRecipe, resolve=fixture) -> FiniteSemigroup:
-    """Build the semigroup a recipe describes.
-
-    ``resolve`` maps a source id (by default a fixture name) to a semigroup;
-    the command line passes a resolver that also accepts file paths.
-    """
-    kind = recipe.kind
-    params = recipe.parameters
-    if kind == "nm_family":
-        n, m = params
-        return nm_family(int(n), int(m))
-    if kind == "asym_family":
-        (n,) = params
-        return asym_family(int(n))
-    if kind == "squarefree_words":
-        (k,) = params
-        return squarefree_words(int(k))
-    if kind == "fixture":
-        (name,) = params
-        return fixture(str(name))
-    if kind == "u_of":
-        (source,) = params
-        return u_of(resolve(source))
-    source, *seed = params
-    base = resolve(source)
-    return rees_quotient(base, ideal_closure(base, [int(e) for e in seed]))

@@ -384,11 +384,17 @@ def parse_mtab_stream(text: str) -> list[FiniteSemigroup]:
 
 
 def format_mtab(s: FiniteSemigroup) -> str:
-    """Serialise to mtab v1. Whitespace inside names is replaced by '_'."""
+    """Serialise to mtab v1, which has no quoting for names.
+
+    Runs of whitespace in names become '_' (leading and trailing ones are
+    dropped), an empty name becomes '_', and names that then coincide are
+    made distinct by :func:`unique_names`, so the output always parses back.
+    """
     out = [str(s.order)]
     out.extend(" ".join(str(v) for v in row) for row in s.table)
     if s.names is not None:
-        out.append("names: " + " ".join("_".join(name.split()) for name in s.names))
+        names = unique_names("_".join(name.split()) or "_" for name in s.names)
+        out.append("names: " + " ".join(names))
     if s.identity is not None:
         out.append(f"identity: {s.identity}")
     if s.zero is not None:

@@ -17,6 +17,10 @@ class AssociativityError(SemigroupError):
         a, b, c = self.witness
         super().__init__(f"not associative: ({a}*{b})*{c} != {a}*({b}*{c})")
 
+    def __reduce__(self):
+        # rebuilt from the witness; the message may have gained a prefix since
+        return type(self), (self.witness,), {"args": self.args}
+
 
 class ParseError(SemigroupError):
     """Raised on malformed mtab input; the message names the offending line."""

@@ -225,22 +225,32 @@ def longest_chain_oracle(s: FiniteSemigroup, relation: str) -> int:
     return len(longest_chain_elements(s, relation))
 
 
+def _longest_paths(nodes, below):
+    """Longest descending paths through a finite strict order.
+
+    ``nodes`` lists each node after the nodes below it; ``below(v)`` lists the
+    nodes strictly below v in increasing order. ``length[v]`` counts the nodes
+    of a longest path from v down, which continues at ``step[v]``: the least
+    node among the longest tails, or None at a minimal node.
+    """
+    length: dict = {}
+    step: dict = {}
+    for v in nodes:
+        nxt = max(below(v), key=length.__getitem__, default=None)
+        step[v] = nxt
+        length[v] = 1 + (0 if nxt is None else length[nxt])
+    return length, step
+
+
 def longest_chain_elements(s: FiniteSemigroup, relation: str) -> tuple[int, ...]:
     """One longest strictly <=_K-decreasing element chain (deterministic)."""
     if relation not in ORDERED_RELATIONS:
         raise ValueError(f"chains are defined for {ORDERED_RELATIONS}, not {relation!r}")
     masks = below_masks(s, relation)
-    n = s.order
-    # length[a] counts the longest chain from a down; it continues at step[a],
-    # the least index among the longest tails
-    length = [0] * n
-    step: list[int | None] = [None] * n
     # an element strictly below a has a strictly smaller below-set
-    for a in sorted(range(n), key=lambda a: masks[a].bit_count()):
-        b = max(_strictly_below(masks, a), key=length.__getitem__, default=None)
-        step[a] = b
-        length[a] = 1 + (0 if b is None else length[b])
-    a = max(range(n), key=length.__getitem__)
+    nodes = sorted(range(s.order), key=lambda a: masks[a].bit_count())
+    length, step = _longest_paths(nodes, lambda a: _strictly_below(masks, a))
+    a = max(range(s.order), key=length.__getitem__)
     chain = []
     while a is not None:
         chain.append(a)
@@ -260,26 +270,16 @@ def height_within_ideal(s: FiniteSemigroup, ideal: Ideal, relation: str) -> int:
         raise InvalidIdealError("ideal belongs to a different semigroup")
     if not ideal.members:
         raise EmptyIdealError("an ideal must be nonempty")
-    structure = k_classes(s, relation)
     masks = below_masks(s, relation)
-    inside = [
-        i
-        for i, members in enumerate(structure.classes)
-        if all(m in ideal.members for m in members)
-    ]
-    reps = {i: structure.classes[i][0] for i in inside}
-    best: dict[int, int] = {}
-    # a class strictly below i has a strictly smaller below-set
-    for i in sorted(inside, key=lambda i: masks[reps[i]].bit_count()):
-        below = [
-            best[j]
-            for j in inside
-            if j != i and (masks[reps[i]] >> reps[j]) & 1
-        ]
-        best[i] = 1 + max(below, default=0)
-
-    # an ideal is a union of K-classes, so a nonempty ideal contains one
-    return max(best.values())
+    # an ideal is a union of K-classes, so a nonempty ideal contains one, and a
+    # class lies inside it exactly when its least member does
+    reps = [c[0] for c in k_classes(s, relation).classes if c[0] in ideal.members]
+    # a class strictly below another has a strictly smaller below-set
+    nodes = sorted(reps, key=lambda a: masks[a].bit_count())
+    length, _ = _longest_paths(
+        nodes, lambda a: [b for b in reps if b != a and (masks[a] >> b) & 1]
+    )
+    return max(length.values())
 
 
 def idempotent_height(s: FiniteSemigroup) -> int:
@@ -293,11 +293,10 @@ def idempotent_height(s: FiniteSemigroup) -> int:
         e: [f for f in idempotents if f != e and table[e][f] == f and table[f][e] == f]
         for e in idempotents
     }
-    best: dict[int, int] = {}
     # f < e in the natural order makes below[f] a proper subset of below[e]
-    for e in sorted(idempotents, key=lambda e: len(below[e])):
-        best[e] = 1 + max((best[f] for f in below[e]), default=0)
-    return max(best.values())
+    nodes = sorted(idempotents, key=lambda e: len(below[e]))
+    length, _ = _longest_paths(nodes, below.__getitem__)
+    return max(length.values())
 
 
 @dataclass(frozen=True)

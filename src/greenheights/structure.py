@@ -23,34 +23,29 @@ def _require_zero(s: FiniteSemigroup) -> int:
     return s.zero
 
 
-def is_left_stable(s: FiniteSemigroup) -> bool:
-    """Whether a <=_L b together with a J b always forces a L b."""
-    left = below_masks(s, "L")
+def _side_stable(s: FiniteSemigroup, relation: str) -> bool:
+    """Whether a <=_K b together with a J b always forces a K b, for K = relation."""
+    side = below_masks(s, relation)
     two_sided = below_masks(s, "J")
     n = s.order
     for a in range(n):
         for b in range(n):
             if a == b:
                 continue
-            if (left[b] >> a) & 1 and two_sided[a] == two_sided[b]:
-                if not (left[a] >> b) & 1:
+            if (side[b] >> a) & 1 and two_sided[a] == two_sided[b]:
+                if not (side[a] >> b) & 1:
                     return False
     return True
+
+
+def is_left_stable(s: FiniteSemigroup) -> bool:
+    """Whether a <=_L b together with a J b always forces a L b."""
+    return _side_stable(s, "L")
 
 
 def is_right_stable(s: FiniteSemigroup) -> bool:
     """Whether a <=_R b together with a J b always forces a R b."""
-    right = below_masks(s, "R")
-    two_sided = below_masks(s, "J")
-    n = s.order
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            if (right[b] >> a) & 1 and two_sided[a] == two_sided[b]:
-                if not (right[a] >> b) & 1:
-                    return False
-    return True
+    return _side_stable(s, "R")
 
 
 def is_stable(s: FiniteSemigroup) -> bool:
@@ -93,7 +88,8 @@ def is_group_bound(s: FiniteSemigroup) -> bool:
     return True
 
 
-def _sink_union(s: FiniteSemigroup, relation: str) -> set[int]:
+def minimal_class_union(s: FiniteSemigroup, relation: str) -> set[int]:
+    """The union of the minimal K-classes, K = relation."""
     structure = k_classes(s, relation)
     out: set[int] = set()
     for i, covered in enumerate(structure.dag):
@@ -114,7 +110,7 @@ def minimal_ideal(s: FiniteSemigroup) -> Ideal:
         raise InternalCheckError(f"expected one minimal J-class, found {len(sinks)}")
     members = frozenset(structure.classes[sinks[0]])
     for relation in ("L", "R"):
-        if _sink_union(s, relation) != members:
+        if minimal_class_union(s, relation) != members:
             raise InternalCheckError(
                 f"minimal {relation}-classes do not cover the minimal ideal"
             )
@@ -262,44 +258,36 @@ def _inverses_of(s: FiniteSemigroup, a: int) -> list[int]:
     ]
 
 
-def is_regular(s: FiniteSemigroup) -> bool:
-    """Every element has an inverse; cross-checked against the idempotent
-    criterion (every L-class and every R-class contains an idempotent)."""
-    n = s.order
-    definitional = all(_inverses_of(s, a) for a in range(n))
+def _inverse_criteria(s: FiniteSemigroup, accept, name: str) -> bool:
+    """Whether ``accept`` holds for the number of inverses of every element;
+    cross-checked against the number of idempotents in every L- and R-class."""
+    definitional = all(accept(len(_inverses_of(s, a))) for a in range(s.order))
     table = s.table
-    idempotents = [e for e in range(n) if table[e][e] == e]
-    by_idempotents = True
-    for relation in ("L", "R"):
-        structure = k_classes(s, relation)
-        with_idem = {structure.class_of[e] for e in idempotents}
-        if len(with_idem) != structure.class_count:
-            by_idempotents = False
-            break
-    if definitional != by_idempotents:
-        raise InternalCheckError("regularity checks disagree")
-    return definitional
-
-
-def is_inverse(s: FiniteSemigroup) -> bool:
-    """Every element has exactly one inverse; cross-checked against the
-    one-idempotent-per-class criterion."""
-    n = s.order
-    definitional = all(len(_inverses_of(s, a)) == 1 for a in range(n))
-    table = s.table
-    idempotents = [e for e in range(n) if table[e][e] == e]
+    idempotents = [e for e in range(s.order) if table[e][e] == e]
     by_idempotents = True
     for relation in ("L", "R"):
         structure = k_classes(s, relation)
         counts = [0] * structure.class_count
         for e in idempotents:
             counts[structure.class_of[e]] += 1
-        if any(c != 1 for c in counts):
+        if not all(map(accept, counts)):
             by_idempotents = False
             break
     if definitional != by_idempotents:
-        raise InternalCheckError("inverse-semigroup checks disagree")
+        raise InternalCheckError(f"{name} checks disagree")
     return definitional
+
+
+def is_regular(s: FiniteSemigroup) -> bool:
+    """Every element has an inverse; cross-checked against the idempotent
+    criterion (every L-class and every R-class contains an idempotent)."""
+    return _inverse_criteria(s, bool, "regularity")
+
+
+def is_inverse(s: FiniteSemigroup) -> bool:
+    """Every element has exactly one inverse; cross-checked against the
+    one-idempotent-per-class criterion."""
+    return _inverse_criteria(s, lambda count: count == 1, "inverse-semigroup")
 
 
 def is_semisimple(s: FiniteSemigroup) -> bool:

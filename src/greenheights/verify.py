@@ -18,26 +18,28 @@ from dataclasses import asdict, dataclass
 from .constructions import rees_quotient, u_of
 from .core import FiniteSemigroup, Ideal, format_mtab, ideal_closure
 from .enumeration import EnumerationConfig, enumerate_semigroups
-from .errors import InternalCheckError, SemigroupError
+from .errors import AssociativityError, InternalCheckError, SemigroupError
 from .green import (
     ORDERED_RELATIONS,
     HeightReport,
     below_masks,
     height_within_ideal,
     idempotent_height,
-    k_classes,
     k_height,
     longest_chain_elements,
     longest_chain_oracle,
 )
 from .structure import (
     is_completely_semisimple,
+    is_completely_simple,
     is_group_bound,
     is_inverse,
     is_left_stable,
     is_regular,
     is_right_stable,
+    is_semisimple,
     left_socle,
+    minimal_class_union,
     minimal_ideal,
     principal_factors,
 )
@@ -121,21 +123,22 @@ def _set_names(s: FiniteSemigroup, elements) -> str:
 
 
 class _Context:
-    """Shared per-semigroup data for the claim evaluators."""
+    """Shared per-semigroup data for the claim evaluators; the heights and
+    flags come from the semigroup's :func:`analyze` report."""
 
-    def __init__(self, s: FiniteSemigroup):
+    def __init__(self, s: FiniteSemigroup, report: HeightReport):
         self.s = s
-        self.left_stable = is_left_stable(s)
-        self.right_stable = is_right_stable(s)
+        self.left_stable = report.left_stable
+        self.right_stable = report.right_stable
         if not (self.left_stable and self.right_stable):
             raise InternalCheckError(
                 "a validated finite semigroup failed the stability identity"
             )
-        self.h = {rel: k_height(s, rel) for rel in ORDERED_RELATIONS}
-        self.h_e = idempotent_height(s)
+        self.h = {"L": report.H_L, "R": report.H_R, "J": report.H_J, "H": report.H_H}
+        self.h_e = report.H_E
+        self.semisimple = report.semisimple
+        self.regular = report.regular
         self.factors = principal_factors(s)
-        self.semisimple = all(pf.kind != "null" for pf in self.factors)
-        self.regular = is_regular(s)
         self.minimal = minimal_ideal(s)
         self._quotients: dict[frozenset, FiniteSemigroup] = {}
         self._extension: FiniteSemigroup | None = None
@@ -174,20 +177,9 @@ class _Context:
 
 
 def _eval_lem21(c: _Context):
-    gj = k_classes(c.s, "J")
-    sinks = [i for i, covered in enumerate(gj.dag) if not covered]
-    union_l = set()
-    union_r = set()
-    for relation, union in (("L", union_l), ("R", union_r)):
-        g = k_classes(c.s, relation)
-        for i, covered in enumerate(g.dag):
-            if not covered:
-                union.update(g.classes[i])
-    ok = (
-        len(sinks) == 1
-        and union_l == union_r == set(gj.classes[sinks[0]])
-    )
-    if ok:
+    union_l = minimal_class_union(c.s, "L")
+    union_r = minimal_class_union(c.s, "R")
+    if union_l == union_r == c.minimal.members:
         return True, None
     return False, (
         f"minimal L-union {_set_names(c.s, union_l)}",
@@ -197,11 +189,7 @@ def _eval_lem21(c: _Context):
 
 def _eval_lem22(c: _Context):
     minimal = set(c.minimal.members)
-    gh = k_classes(c.s, "H")
-    union_h = set()
-    for i, covered in enumerate(gh.dag):
-        if not covered:
-            union_h.update(gh.classes[i])
+    union_h = minimal_class_union(c.s, "H")
     simple_factor = next(
         pf for pf in c.factors if set(pf.j_class) == minimal
     )
@@ -502,7 +490,6 @@ def analyze(s: FiniteSemigroup) -> HeightReport:
                 raise InternalCheckError(
                     f"height and chain oracle disagree on relation {rel}"
                 )
-    factors = principal_factors(s)
     return HeightReport(
         H_L=k_height(s, "L"),
         H_R=k_height(s, "R"),
@@ -514,18 +501,17 @@ def analyze(s: FiniteSemigroup) -> HeightReport:
         group_bound=is_group_bound(s),
         regular=is_regular(s),
         inverse=is_inverse(s),
-        semisimple=all(pf.kind != "null" for pf in factors),
+        semisimple=is_semisimple(s),
         completely_semisimple=is_completely_semisimple(s),
-        completely_simple=k_height(s, "H") == 1,
+        completely_simple=is_completely_simple(s),
         has_zero=s.zero is not None,
     )
 
 
-def check_claims(s: FiniteSemigroup) -> list[ClaimResult]:
-    """Evaluate the whole claim registry on one semigroup, in registry order."""
-    context = _Context(s)
+def _run_claims(context: _Context) -> list[ClaimResult]:
     results = []
     for claim_id in CLAIM_IDS:
+        # looked up per call: tests and perfbench/tracer.py replace entries
         outcome = _EVALUATORS[claim_id](context)
         if outcome is None:
             results.append(ClaimResult(claim_id, False, True, None))
@@ -533,6 +519,14 @@ def check_claims(s: FiniteSemigroup) -> list[ClaimResult]:
             holds, witness = outcome
             results.append(ClaimResult(claim_id, True, holds, witness))
     return results
+
+
+def check_claims(s: FiniteSemigroup) -> list[ClaimResult]:
+    """Evaluate the whole claim registry on one semigroup, in registry order.
+
+    Runs :func:`analyze` first; its report supplies the heights and flags.
+    """
+    return _run_claims(_Context(s, analyze(s)))
 
 
 def input_record(provenance: str, s: FiniteSemigroup, report, claims) -> dict:
@@ -560,7 +554,7 @@ class SweepSummary:
 
 def _evaluate_input(provenance: str, s: FiniteSemigroup):
     report = analyze(s)
-    claims = check_claims(s)
+    claims = _run_claims(_Context(s, report))
     violations = [
         Violation(c.claim_id, format_mtab(s), provenance)
         for c in claims
@@ -577,10 +571,15 @@ def _worker(payload):
 
 
 def _with_provenance(exc: Exception, provenance: str) -> Exception:
+    message = f"{provenance}: {exc}"
+    if isinstance(exc, AssociativityError):  # keeps the witness
+        renamed = AssociativityError(exc.witness)
+        renamed.args = (message,)
+        return renamed
     try:
-        return type(exc)(f"{provenance}: {exc}")
+        return type(exc)(message)
     except Exception:
-        return SemigroupError(f"{provenance}: {exc}")
+        return SemigroupError(message)
 
 
 @contextmanager

@@ -143,3 +143,29 @@ def naive_leq(s, relation, a, b):
     if relation == "H":
         return naive_leq(s, "L", a, b) and naive_leq(s, "R", a, b)
     raise ValueError(relation)
+
+
+def brute_force_chain(s, relation):
+    """Oracle for longest_chain_elements, from ``naive_leq`` alone.
+
+    Among chains of equal length, the one that starts at the least index
+    wins, both for the top element and for each tail below it.
+    """
+    n = s.order
+
+    def strictly_below(b, a):
+        return naive_leq(s, relation, b, a) and not naive_leq(s, relation, a, b)
+
+    @lru_cache(maxsize=None)
+    def longest_from(a):
+        tail = ()
+        for b in range(n):
+            if strictly_below(b, a) and len(longest_from(b)) > len(tail):
+                tail = longest_from(b)
+        return (a,) + tail
+
+    best = ()
+    for a in range(n):
+        if len(longest_from(a)) > len(best):
+            best = longest_from(a)
+    return best

@@ -182,6 +182,10 @@ def test_non_associative_input_exits_two(capsys, tmp_path):
     assert code == 2
     assert "not associative" in err
 
+    code, _, err = run(capsys, "verify", f"u-of:{bad}")
+    assert code == 2
+    assert "not associative" in err
+
 
 def test_export_dot_single_relation_to_stdout(capsys):
     code, out, _ = run(capsys, "export-dot", "fixture:fig1_s", "--relation", "R")

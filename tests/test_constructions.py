@@ -3,10 +3,10 @@ import warnings
 import pytest
 
 from greenheights import (
-    ConstructionRecipe,
     Ideal,
     InvalidIdealError,
     NoZeroError,
+    ParseError,
     RangeError,
     UnknownFixtureError,
     analyze,
@@ -21,11 +21,12 @@ from greenheights import (
     minimal_ideal,
     nm_family,
     opposite,
-    realize_recipe,
     rees_quotient,
     squarefree_words,
     u_of,
 )
+
+from greenheights.recipes import build_from_string
 
 from helpers import adjoin_zero, census, cyclic_group
 
@@ -198,14 +199,11 @@ def test_fig2_u2_analysis_matches_the_displayed_posets():
 
 
 def test_recipe_objects():
-    s = realize_recipe(ConstructionRecipe("nm_family", (2, 3)))
-    assert s.order == 3
-    s = realize_recipe(ConstructionRecipe("u_of", ("fig1_s",)))
-    assert s.order == 7
-    s = realize_recipe(ConstructionRecipe("rees_quotient", ("fig1_u", 3)))
-    assert s.order == 4
-    with pytest.raises(RangeError):
-        ConstructionRecipe("frobnicate", ())
+    assert build_from_string("nm:2,3").order == 3
+    assert build_from_string("u-of:fig1_s").order == 7
+    assert build_from_string("rees:fig1_u,3").order == 4
+    with pytest.raises(ParseError):
+        build_from_string("frobnicate:1")
 
 
 def test_asymmetric_family_ingredients_at_n_two():

@@ -317,6 +317,31 @@ def test_mtab_round_trip():
         assert again.zero == s.zero
 
 
+def _assert_round_trip_keeps_the_table(s):
+    again = parse_mtab(format_mtab(s))
+    assert again.table == s.table
+    assert again.identity == s.identity
+    assert again.zero == s.zero
+    assert len(set(again.names)) == s.order
+    return again
+
+
+def test_mtab_round_trip_of_names_that_differ_only_in_whitespace():
+    s = build_semigroup([[0, 0], [0, 0]], names=["a b", "a_b"])
+    assert _assert_round_trip_keeps_the_table(s).names == ("a_b", "a_b'")
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_mtab_round_trip_of_arbitrary_names(data):
+    s = data.draw(st.sampled_from(census(3)))
+    names = data.draw(st.lists(st.text(), min_size=3, max_size=3, unique=True))
+    named = build_semigroup(s.table, names)
+    again = _assert_round_trip_keeps_the_table(named)
+    if all(name.split() == [name] for name in names):
+        assert again.names == named.names
+
+
 def test_mtab_rejects_ragged_rows():
     with pytest.raises(ParseError) as info:
         parse_mtab("2\n0 1\n0\n")

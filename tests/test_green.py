@@ -23,7 +23,14 @@ from greenheights import (
 from greenheights.green import below_masks
 from greenheights.structure import left_socle
 
-from helpers import census, cyclic_group, left_zero, naive_leq, order_five_and_six_samples
+from helpers import (
+    brute_force_chain,
+    census,
+    cyclic_group,
+    left_zero,
+    naive_leq,
+    order_five_and_six_samples,
+)
 
 
 def test_trivial_preorder_is_the_full_relation():
@@ -243,6 +250,13 @@ def test_order_four_preorders_match_their_definitions_on_a_slice():
             for a in range(s.order):
                 for b in range(s.order):
                     assert le[a][b] == naive_leq(s, relation, a, b)
+
+
+def test_longest_chains_match_a_brute_force_oracle():
+    # pins the witness chains, which break ties by the least index
+    for s in census(3) + census(4)[::7]:
+        for relation in ("L", "R", "J", "H"):
+            assert longest_chain_elements(s, relation) == brute_force_chain(s, relation)
 
 
 def _element_chain_within(s, members, relation):

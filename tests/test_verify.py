@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import multiprocessing
+import pickle
 
 import pytest
 
@@ -16,7 +18,7 @@ from greenheights import (
     squarefree_words,
     sweep,
 )
-from greenheights.errors import InternalCheckError
+from greenheights.errors import AssociativityError, InternalCheckError
 from greenheights.verify import (
     SCHEMA,
     input_record,
@@ -249,7 +251,8 @@ def test_failed_inequality_claims_produce_chain_witnesses():
     # by faking the cached heights on a context
     from greenheights.verify import _Context, _EVALUATORS
 
-    context = _Context(fixture("fig2_u2"))
+    u2 = fixture("fig2_u2")
+    context = _Context(u2, analyze(u2))
     context.h = dict(context.h)
     context.h["J"] = 99
     for claim_id in ("thm6.2", "thm6.5", "prop5.2.3"):
@@ -259,13 +262,13 @@ def test_failed_inequality_claims_produce_chain_witnesses():
         assert not holds
         assert witness and all(isinstance(w, str) and w for w in witness)
 
-    context = _Context(fixture("fig2_u2"))
+    context = _Context(u2, analyze(u2))
     context.h = dict(context.h)
     context.h["H"] = 99
     holds, witness = _EVALUATORS["prop3.5.3"](context)
     assert not holds and witness
 
-    context = _Context(fixture("fig2_u2"))
+    context = _Context(u2, analyze(u2))
     context.h_e = 99
     holds, witness = _EVALUATORS["lem7.2"](context)
     assert not holds and witness
@@ -275,3 +278,43 @@ def test_witness_chain_rendering_uses_element_names():
     from greenheights.verify import _chain
 
     assert _chain(fixture("fig1_s"), "R") == "R: e > a > z"
+
+
+def test_sweep_records_equal_analyze_and_check_claims_on_the_order_three_census():
+    tables = census(3)
+    summary = sweep([(f"t{i}", s) for i, s in enumerate(tables)])
+    for s, record in zip(tables, summary.records):
+        assert record["report"] == dataclasses.asdict(analyze(s))
+        assert record["claims"] == [dataclasses.asdict(c) for c in check_claims(s)]
+
+
+@pytest.mark.parametrize("flag", ["left_stable", "right_stable"])
+def test_context_refuses_a_report_without_stability(flag):
+    from greenheights.verify import _Context
+
+    s = fixture("fig2_u2")
+    with pytest.raises(InternalCheckError):
+        _Context(s, dataclasses.replace(analyze(s), **{flag: False}))
+
+
+def test_associativity_error_survives_pickling():
+    error = AssociativityError((0, 1, 0))
+    again = pickle.loads(pickle.dumps(error))
+    assert type(again) is AssociativityError
+    assert again.witness == (0, 1, 0)
+    assert str(again) == str(error)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_keeps_the_associativity_error_of_a_recipe_source(tmp_path, jobs):
+    bad = tmp_path / "bad.mtab"
+    bad.write_text("2\n0 0\n1 0\n")  # (1*0)*1 = 0 but 1*(0*1) = 1
+    recipe = f"u-of:{bad}"
+    with pytest.raises(AssociativityError) as info:
+        sweep([recipe], jobs=jobs)
+    assert info.value.witness == (1, 0, 1)
+    assert str(info.value).startswith(f"{recipe}: not associative: ")
+    again = pickle.loads(pickle.dumps(info.value))
+    assert (type(again), again.witness, str(again)) == (
+        AssociativityError, info.value.witness, str(info.value)
+    )
