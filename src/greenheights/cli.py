@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .core import format_mtab, parse_mtab
@@ -49,7 +48,7 @@ def _cmd_analyze(args) -> int:
     s = _load_input(args.input)
     report = analyze(s)
     doc = {"schema": SCHEMA, "order": s.order}
-    doc.update(asdict(report))
+    doc.update(vars(report))
     _write_or_print(json.dumps(doc, indent=2) + "\n", args.output)
     return 0
 
@@ -83,13 +82,10 @@ def _cmd_enumerate(args) -> int:
 def _cmd_verify(args) -> int:
     inputs: list = []
     if args.enumerate_order is not None:
-        config = EnumerationConfig(order=args.enumerate_order, up_to_isomorphism=args.up_to_iso)
-        inputs.extend(
-            (f"enum:order={args.enumerate_order}:index={i}", s)
-            for i, s in enumerate(enumerate_semigroups(config))
+        inputs.append(
+            EnumerationConfig(order=args.enumerate_order, up_to_isomorphism=args.up_to_iso)
         )
-    for recipe in args.recipes:
-        inputs.append((recipe, _load_input(recipe)))
+    inputs.extend((recipe, _load_input(recipe)) for recipe in args.recipes)
     if not inputs:
         print("nothing to verify: pass recipes or --enumerate-order", file=sys.stderr)
         return 2
@@ -105,8 +101,9 @@ def _cmd_verify(args) -> int:
         print(f"  {violation.claim_id} on {violation.provenance}")
 
     if args.report is not None:
-        payload = json.dumps(report_payload(summary), indent=2) + "\n"
-        Path(args.report).write_text(payload, encoding="utf-8")
+        with open(args.report, "w", encoding="utf-8") as handle:
+            json.dump(report_payload(summary), handle, indent=2)
+            handle.write("\n")
     if args.csv is not None:
         with open(args.csv, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)

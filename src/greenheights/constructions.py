@@ -28,6 +28,22 @@ from .green import below_masks, k_height
 WORD_LETTERS = "xyzuvw"
 
 
+def collapse_to_zero(s: FiniteSemigroup, keep) -> FiniteSemigroup:
+    """The elements of ``keep`` (ascending) with every product outside them
+    sent to a fresh zero, which gets the last index."""
+    position = {a: i for i, a in enumerate(keep)}
+    zero_index = len(keep)
+    rows = [
+        [position.get(s.table[a][b], zero_index) for b in keep] + [zero_index]
+        for a in keep
+    ]
+    rows.append([zero_index] * (zero_index + 1))
+    names = None
+    if s.names is not None:
+        names = unique_names([s.names[a] for a in keep] + ["0"])
+    return build_semigroup(rows, names)
+
+
 def rees_quotient(s: FiniteSemigroup, ideal: Ideal) -> FiniteSemigroup:
     """Collapse an ideal to a single fresh zero.
 
@@ -36,22 +52,7 @@ def rees_quotient(s: FiniteSemigroup, ideal: Ideal) -> FiniteSemigroup:
     """
     if not isinstance(ideal, Ideal) or ideal.parent != s:
         raise InvalidIdealError("expected an ideal of the semigroup being quotiented")
-    survivors = [a for a in range(s.order) if a not in ideal.members]
-    position = {a: i for i, a in enumerate(survivors)}
-    zero_index = len(survivors)
-    rows = []
-    for a in survivors:
-        row = []
-        for b in survivors:
-            p = s.table[a][b]
-            row.append(position.get(p, zero_index))
-        row.append(zero_index)
-        rows.append(row)
-    rows.append([zero_index] * (zero_index + 1))
-    names = None
-    if s.names is not None:
-        names = unique_names([s.names[a] for a in survivors] + ["0"])
-    return build_semigroup(rows, names)
+    return collapse_to_zero(s, [a for a in range(s.order) if a not in ideal.members])
 
 
 def u_of(s: FiniteSemigroup) -> FiniteSemigroup:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import FiniteSemigroup, Ideal, build_semigroup, opposite, unique_names
+from .constructions import collapse_to_zero
+from .core import FiniteSemigroup, Ideal, build_semigroup, opposite
 from .errors import InternalCheckError, NoZeroError
 from .green import below_masks, iter_bits, k_classes, k_height
 
@@ -218,28 +219,8 @@ def principal_factors(s: FiniteSemigroup) -> tuple[PrincipalFactor, ...]:
                 raise InternalCheckError("the minimal ideal is not completely simple")
             out.append(PrincipalFactor(j_set, factor, "simple"))
             continue
-        elems = sorted(members)
-        position = {e: i for i, e in enumerate(elems)}
-        zero_index = len(elems)
-        rows = []
-        stays = False
-        for a in elems:
-            row = []
-            for b in elems:
-                p = s.table[a][b]
-                if p in position:
-                    row.append(position[p])
-                    stays = True
-                else:
-                    row.append(zero_index)
-            row.append(zero_index)
-            rows.append(row)
-        rows.append([zero_index] * (zero_index + 1))
-        names = None
-        if s.names is not None:
-            names = unique_names([s.names[e] for e in elems] + ["0"])
-        factor = build_semigroup(rows, names)
-        if not stays:
+        factor = collapse_to_zero(s, sorted(members))
+        if all(p == factor.order - 1 for row in factor.table for p in row):
             kind = "null"
         else:
             if not is_0_simple(factor):

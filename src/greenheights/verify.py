@@ -11,14 +11,15 @@ instead of producing a violation, because they can only mean a bug here.
 
 from __future__ import annotations
 
+import copy
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .constructions import rees_quotient, u_of
 from .core import FiniteSemigroup, Ideal, format_mtab, ideal_closure
 from .enumeration import EnumerationConfig, enumerate_semigroups
-from .errors import AssociativityError, InternalCheckError, SemigroupError
+from .errors import InternalCheckError, SemigroupError
 from .green import (
     ORDERED_RELATIONS,
     HeightReport,
@@ -530,10 +531,11 @@ def check_claims(s: FiniteSemigroup) -> list[ClaimResult]:
 
 
 def input_record(provenance: str, s: FiniteSemigroup, report, claims) -> dict:
+    # shallow copies suffice: every field is an int, a bool, a str or a tuple of str
     return {
         "input": {"provenance": provenance, "order": s.order},
-        "report": asdict(report),
-        "claims": [asdict(c) for c in claims],
+        "report": dict(vars(report)),
+        "claims": [dict(vars(c)) for c in claims],
     }
 
 
@@ -552,34 +554,33 @@ class SweepSummary:
         return self.inputs * len(CLAIM_IDS)
 
 
-def _evaluate_input(provenance: str, s: FiniteSemigroup):
-    report = analyze(s)
-    claims = _run_claims(_Context(s, report))
-    violations = [
-        Violation(c.claim_id, format_mtab(s), provenance)
-        for c in claims
-        if c.applicable and not c.holds
-    ]
-    record = input_record(provenance, s, report, claims)
+def _evaluate(pair):
+    """Record, violations and (H_L, H_R, H_J) of one (provenance, semigroup) pair."""
+    provenance, s = pair
+    with _provenance_attached(provenance):
+        report = analyze(s)
+        claims = _run_claims(_Context(s, report))
+        violations = [
+            Violation(c.claim_id, format_mtab(s), provenance)
+            for c in claims
+            if c.applicable and not c.holds
+        ]
+        record = input_record(provenance, s, report, claims)
     return record, violations, (report.H_L, report.H_R, report.H_J)
 
 
-def _worker(payload):
-    provenance, s = payload
-    with _provenance_attached(provenance):
-        return _evaluate_input(provenance, s)
-
-
 def _with_provenance(exc: Exception, provenance: str) -> Exception:
+    """A copy of ``exc`` whose message starts with the provenance; attributes
+    such as ``ParseError.line`` and ``AssociativityError.witness`` are kept."""
     message = f"{provenance}: {exc}"
-    if isinstance(exc, AssociativityError):  # keeps the witness
-        renamed = AssociativityError(exc.witness)
-        renamed.args = (message,)
-        return renamed
     try:
-        return type(exc)(message)
-    except Exception:
+        renamed = copy.copy(exc)
+        renamed.args = (message,)
+        if str(renamed) != message:  # OSError formats from errno and strerror
+            renamed = type(exc)(message)
+    except Exception:  # a type that cannot be rebuilt from its args
         return SemigroupError(message)
+    return renamed
 
 
 @contextmanager
@@ -594,14 +595,15 @@ def _provenance_attached(provenance: str):
 
 
 def _as_inputs(source):
-    if isinstance(source, EnumerationConfig):
-        for i, s in enumerate(enumerate_semigroups(source)):
-            yield f"enum:order={source.order}:index={i}", s
-        return
+    """(provenance, semigroup) pairs from a config or a list of configs,
+    recipe strings and pairs."""
     from . import recipes  # deferred: recipes sits above verify in the CLI
 
-    for item in source:
-        if isinstance(item, str):
+    for item in [source] if isinstance(source, EnumerationConfig) else source:
+        if isinstance(item, EnumerationConfig):
+            for i, s in enumerate(enumerate_semigroups(item)):
+                yield f"enum:order={item.order}:index={i}", s
+        elif isinstance(item, str):
             with _provenance_attached(item):
                 s = recipes.build_from_string(item)
             yield item, s
@@ -613,22 +615,17 @@ def _as_inputs(source):
 def sweep(source, jobs: int = 1) -> SweepSummary:
     """Run analyze + check_claims over a batch of inputs.
 
-    ``source`` is an EnumerationConfig, a list of recipe strings, or a list of
-    (provenance, semigroup) pairs. Construction errors propagate with the
+    ``source`` is an EnumerationConfig or a list whose items are
+    EnumerationConfigs, recipe strings or (provenance, semigroup) pairs. Every
+    input is built before any is evaluated; errors propagate with the
     offending provenance attached.
     """
-    pairs = []
-    for provenance, s in _as_inputs(source):
-        pairs.append((provenance, s))
-
-    outcomes = []
+    pairs = list(_as_inputs(source))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_worker, pairs, chunksize=16))
+            outcomes = list(pool.map(_evaluate, pairs, chunksize=16))
     else:
-        for provenance, s in pairs:
-            with _provenance_attached(provenance):
-                outcomes.append(_evaluate_input(provenance, s))
+        outcomes = map(_evaluate, pairs)
 
     stats = {claim_id: [0, 0] for claim_id in CLAIM_IDS}
     violations: list[Violation] = []
@@ -666,7 +663,7 @@ def report_payload(summary: SweepSummary) -> dict:
             },
             "violation_count": len(summary.violations),
         },
-        "violations": [asdict(v) for v in summary.violations],
+        "violations": [dict(vars(v)) for v in summary.violations],
     }
 
 

@@ -5,6 +5,7 @@ import random
 from functools import lru_cache
 
 from greenheights import build_semigroup
+from greenheights.core import unique_names
 from greenheights.enumeration import (
     associative_tables,
     closure,
@@ -51,6 +52,35 @@ def brute_force_canonical_table(table, fold_anti_isomorphs=False):
             if best is None or candidate < best:
                 best = candidate
     return best
+
+
+def naive_principal_factor(s, members):
+    """Oracle for a non-minimal principal factor: the J-class with a fresh
+    zero adjoined and escaping products sent to it, built cell by cell.
+
+    Returns the factor and whether some product stays inside the class.
+    """
+    elems = sorted(members)
+    position = {e: i for i, e in enumerate(elems)}
+    zero_index = len(elems)
+    rows = []
+    stays = False
+    for a in elems:
+        row = []
+        for b in elems:
+            p = s.table[a][b]
+            if p in position:
+                row.append(position[p])
+                stays = True
+            else:
+                row.append(zero_index)
+        row.append(zero_index)
+        rows.append(row)
+    rows.append([zero_index] * (zero_index + 1))
+    names = None
+    if s.names is not None:
+        names = unique_names([s.names[e] for e in elems] + ["0"])
+    return build_semigroup(rows, names), stays
 
 
 def adjoin_zero(s):

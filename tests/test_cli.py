@@ -115,6 +115,17 @@ def test_verify_enumerate_order(capsys):
     assert f"claim evaluations: {8 * 25}" in out
 
 
+def test_verify_report_is_the_sweep_payload(capsys, tmp_path):
+    from greenheights import EnumerationConfig, sweep
+    from greenheights.verify import report_payload
+
+    report = tmp_path / "report.json"
+    code, _, _ = run(capsys, "verify", "--enumerate-order", "3", "--report", str(report))
+    assert code == 0
+    expected = json.dumps(report_payload(sweep(EnumerationConfig(order=3))), indent=2) + "\n"
+    assert report.read_text(encoding="utf-8") == expected
+
+
 def test_verify_without_inputs_is_usage_error(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2

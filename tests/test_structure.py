@@ -29,7 +29,7 @@ from greenheights import (
 )
 from greenheights.enumeration import closure, compose, transformation_name
 
-from helpers import adjoin_zero, census, cyclic_group, left_zero
+from helpers import adjoin_zero, census, cyclic_group, left_zero, naive_principal_factor
 
 
 def full_transformation_monoid(degree):
@@ -166,6 +166,26 @@ def test_principal_factors_of_squarefree_words():
         if pf.kind == "null":
             z = pf.factor.zero
             assert all(v == z for row in pf.factor.table for v in row)
+
+
+def test_principal_factors_match_the_cell_by_cell_oracle():
+    from greenheights.recipes import build_from_string
+
+    named = [
+        build_from_string(r) for r in ("sqfree:3", "asym:3", "fixture:fig1_u", "fixture:fig2_u2")
+    ]
+    semigroups = [s for order in range(1, 5) for s in census(order)] + named
+    assert len(semigroups) == 3614 + 4
+    for s in semigroups:
+        minimal = minimal_ideal(s).members
+        for pf in principal_factors(s):
+            if pf.j_class == minimal:
+                assert pf.kind == "simple"
+                continue
+            expected, stays = naive_principal_factor(s, pf.j_class)
+            assert pf.factor.table == expected.table
+            assert pf.factor.names == expected.names
+            assert pf.kind == ("zero_simple" if stays else "null")
 
 
 def test_principal_factors_of_the_full_transformation_monoid_on_two_points():

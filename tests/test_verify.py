@@ -18,7 +18,7 @@ from greenheights import (
     squarefree_words,
     sweep,
 )
-from greenheights.errors import AssociativityError, InternalCheckError
+from greenheights.errors import AssociativityError, InternalCheckError, ParseError, SemigroupError
 from greenheights.verify import (
     SCHEMA,
     input_record,
@@ -318,3 +318,55 @@ def test_sweep_keeps_the_associativity_error_of_a_recipe_source(tmp_path, jobs):
     assert (type(again), again.witness, str(again)) == (
         AssociativityError, info.value.witness, str(info.value)
     )
+
+
+def test_sweep_of_a_mixed_source_is_the_same_with_and_without_workers():
+    s = fixture("fig1_s")
+    source = [EnumerationConfig(order=2), "asym:2", ("pair", s)]
+    sequential = sweep(source, jobs=1)
+    parallel = sweep(source, jobs=2)
+    provenances = [r["input"]["provenance"] for r in sequential.records]
+    assert provenances == [f"enum:order=2:index={i}" for i in range(8)] + ["asym:2", "pair"]
+    assert [r["input"]["provenance"] for r in parallel.records] == provenances
+    assert parallel.records == sequential.records
+    assert parallel.claim_stats == sequential.claim_stats
+    assert sequential.records[-1] == input_record("pair", s, analyze(s), check_claims(s))
+
+
+def test_parse_error_keeps_its_line_through_pickling():
+    again = pickle.loads(pickle.dumps(ParseError("m", line=3)))
+    assert again.line == 3
+    assert str(again) == "line 3: m"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_keeps_the_line_of_a_parse_error(tmp_path, monkeypatch, jobs):
+    from greenheights.recipes import build_from_string
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "badrow.mtab").write_text("2\n0 0\n0\n")  # the second row is short
+    recipe = "u-of:badrow.mtab"
+    with pytest.raises(ParseError) as direct:
+        build_from_string(recipe)
+    assert direct.value.line == 3
+    with pytest.raises(ParseError) as info:
+        sweep([recipe], jobs=jobs)
+    assert info.value.line == 3
+    assert str(info.value) == f"{recipe}: {direct.value}"
+
+
+def test_provenance_reaches_the_message_of_every_error_type():
+    from greenheights.verify import _with_provenance
+
+    class TwoArguments(Exception):
+        def __init__(self, first, second):
+            super().__init__(f"{first} {second}")
+
+    # OSError formats its message from errno and strerror, not from args
+    renamed = _with_provenance(FileNotFoundError(2, "No such file", "x.mtab"), "here")
+    assert type(renamed) is FileNotFoundError
+    assert str(renamed) == "here: [Errno 2] No such file: 'x.mtab'"
+    # a type that cannot be rebuilt from its args falls back to SemigroupError
+    renamed = _with_provenance(TwoArguments("a", "b"), "here")
+    assert type(renamed) is SemigroupError
+    assert str(renamed) == "here: a b"
