@@ -13,11 +13,11 @@ import json
 import sys
 from pathlib import Path
 
-from .core import format_mtab, parse_mtab
+from .core import format_mtab
 from .enumeration import EnumerationConfig, enumerate_semigroups
-from .errors import InternalCheckError, SemigroupError
+from .errors import InternalCheckError, RangeError, SemigroupError
 from .green import ORDERED_RELATIONS, to_dot
-from .recipes import build_from_string, looks_like_recipe
+from .recipes import load_input
 from .verify import (
     CLAIM_IDS,
     SCHEMA,
@@ -28,15 +28,6 @@ from .verify import (
 )
 
 
-def _load_input(text: str):
-    """Resolve a CLI input: '-' for stdin, a recipe string, or a file path."""
-    if text == "-":
-        return parse_mtab(sys.stdin.read())
-    if looks_like_recipe(text):
-        return build_from_string(text)
-    return parse_mtab(Path(text).read_text(encoding="utf-8"))
-
-
 def _write_or_print(payload: str, output: str | None):
     if output is None:
         sys.stdout.write(payload)
@@ -45,7 +36,7 @@ def _write_or_print(payload: str, output: str | None):
 
 
 def _cmd_analyze(args) -> int:
-    s = _load_input(args.input)
+    s = load_input(args.input)
     report = analyze(s)
     doc = {"schema": SCHEMA, "order": s.order}
     doc.update(vars(report))
@@ -54,7 +45,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    s = _load_input(args.recipe)
+    s = load_input(args.recipe)
     _write_or_print(format_mtab(s), args.output)
     return 0
 
@@ -85,7 +76,9 @@ def _cmd_verify(args) -> int:
         inputs.append(
             EnumerationConfig(order=args.enumerate_order, up_to_isomorphism=args.up_to_iso)
         )
-    inputs.extend((recipe, _load_input(recipe)) for recipe in args.recipes)
+    elif args.up_to_iso:
+        raise RangeError("--up-to-iso needs --enumerate-order")
+    inputs.extend(args.recipes)
     if not inputs:
         print("nothing to verify: pass recipes or --enumerate-order", file=sys.stderr)
         return 2
@@ -118,7 +111,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    s = _load_input(args.input)
+    s = load_input(args.input)
     relations = args.relation or list(ORDERED_RELATIONS)
     if args.out_dir is None:
         if len(relations) != 1:

@@ -40,6 +40,8 @@ class EnumerationConfig:
             raise RangeError(f"exhaustive enumeration supports orders 1..5, got {self.order}")
         if self.limit is not None and self.limit < 0:
             raise RangeError("limit must be nonnegative")
+        if not (self.include_anti_isomorphs or self.up_to_isomorphism):
+            raise RangeError("folding anti-isomorphs needs enumeration up to isomorphism")
 
 
 def _consistent_after(table, n, a, b):

@@ -4,6 +4,8 @@ Dominance is computed per element as the principal (left/right/two-sided)
 ideal, stored as one bitmask per element: ``below[b]`` has bit ``a`` set
 exactly when a <=_K b. Two elements are K-equivalent precisely when their
 dominance masks coincide, so classes fall out of a single grouping pass.
+The strict class order is read off the representatives' masks once, as one
+strictly-below bitmask per class; its Hasse diagram is derived only for export.
 """
 
 from __future__ import annotations
@@ -75,22 +77,36 @@ def preorder(s: FiniteSemigroup, relation: str) -> list[list[bool]]:
 class GreenStructure:
     """One Green's relation on one semigroup: classes, their order and depths.
 
-    ``dag`` holds the Hasse reduction of the class order: dag[i] lists the
-    classes covered by class i (one step further from the top). ``depth[i]``
-    counts the classes in the longest chain from a maximal class down to i,
-    inclusive, so the K-height is max(depth). For D, which carries no order,
-    ``dag`` and ``depth`` are None and only the partition is populated.
+    Bit j of ``below[i]`` says class j lies strictly below class i.
+    ``depth[i]`` counts the classes in the longest chain from a maximal class
+    down to i, inclusive, so the K-height is max(depth). For D, which carries
+    no order, ``below`` and ``depth`` are None and only the partition is
+    populated.
     """
 
     relation: str
     class_of: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
-    dag: tuple[tuple[int, ...], ...] | None
+    below: tuple[int, ...] | None
     depth: tuple[int, ...] | None
 
     @property
     def class_count(self) -> int:
         return len(self.classes)
+
+    @property
+    def dag(self) -> tuple[tuple[int, ...], ...] | None:
+        """The Hasse reduction, derived from ``below`` on each access: dag[i]
+        lists the classes covered by class i (one step further from the top)."""
+        if self.below is None:
+            return None
+        covered = []
+        for lt in self.below:
+            reach = 0  # the classes below some class below i
+            for j in iter_bits(lt):
+                reach |= self.below[j]
+            covered.append(tuple(iter_bits(lt & ~reach)))
+        return tuple(covered)
 
 
 def _group_by_mask(masks):
@@ -148,7 +164,7 @@ def _d_partition(s: FiniteSemigroup):
 
 @lru_cache(maxsize=1024)
 def k_classes(s: FiniteSemigroup, relation: str) -> GreenStructure:
-    """Classes of one Green's relation, with the Hasse diagram and depths.
+    """Classes of one Green's relation, with their strict order and depths.
 
     ``relation`` is one of L, R, J, H, D. Class indices are assigned by the
     smallest contained element, making every field deterministic.
@@ -164,37 +180,26 @@ def k_classes(s: FiniteSemigroup, relation: str) -> GreenStructure:
         )
     masks = below_masks(s, relation)
     class_of, classes = _group_by_mask(masks)
-    count = len(classes)
     reps = [members[0] for members in classes]
-
-    # strictly-below masks on class indices
-    lt = [0] * count
-    for i in range(count):
-        mi = masks[reps[i]]
-        for j in range(count):
-            if i != j and (mi >> reps[j]) & 1:
-                lt[i] |= 1 << j
-    gt = [0] * count
-    for i in range(count):
-        for j in iter_bits(lt[i]):
-            gt[j] |= 1 << i
-
-    dag = []
-    for i in range(count):
-        covered = [j for j in iter_bits(lt[i]) if not (lt[i] & gt[j])]
-        dag.append(tuple(covered))
-
-    depth = [0] * count
-    order_by_height = sorted(range(count), key=lambda c: gt[c].bit_count())
-    for c in order_by_height:
-        above = [depth[p] for p in iter_bits(gt[c])]
-        depth[c] = 1 + max(above, default=0)
+    rep_bits = sum(1 << r for r in reps)
+    below = [0] * len(classes)
+    depth = [1] * len(classes)
+    # a class strictly above another has a strictly larger mask, so each class
+    # is reached after all classes above it have pushed their depths down
+    for c in sorted(range(len(classes)), key=lambda c: -masks[reps[c]].bit_count()):
+        d = depth[c] + 1
+        for r in iter_bits(masks[reps[c]] & rep_bits):
+            j = class_of[r]
+            if j != c:
+                below[c] |= 1 << j
+                if depth[j] < d:
+                    depth[j] = d
 
     return GreenStructure(
         relation,
         tuple(class_of),
         tuple(tuple(c) for c in classes),
-        tuple(dag),
+        tuple(below),
         tuple(depth),
     )
 
@@ -270,15 +275,14 @@ def height_within_ideal(s: FiniteSemigroup, ideal: Ideal, relation: str) -> int:
         raise InvalidIdealError("ideal belongs to a different semigroup")
     if not ideal.members:
         raise EmptyIdealError("an ideal must be nonempty")
-    masks = below_masks(s, relation)
-    # an ideal is a union of K-classes, so a nonempty ideal contains one, and a
-    # class lies inside it exactly when its least member does
-    reps = [c[0] for c in k_classes(s, relation).classes if c[0] in ideal.members]
+    structure = k_classes(s, relation)
+    below = structure.below
+    # an ideal is a union of K-classes, so a nonempty ideal contains one; a class
+    # lies inside it when its least member does, and then so do all classes below
+    inside = [c for c, cls in enumerate(structure.classes) if cls[0] in ideal.members]
     # a class strictly below another has a strictly smaller below-set
-    nodes = sorted(reps, key=lambda a: masks[a].bit_count())
-    length, _ = _longest_paths(
-        nodes, lambda a: [b for b in reps if b != a and (masks[a] >> b) & 1]
-    )
+    nodes = sorted(inside, key=lambda c: below[c].bit_count())
+    length, _ = _longest_paths(nodes, lambda c: iter_bits(below[c]))
     return max(length.values())
 
 
@@ -326,7 +330,7 @@ def to_dot(s: FiniteSemigroup, relation: str) -> str:
     repeated runs diff cleanly.
     """
     structure = k_classes(s, relation)
-    if structure.dag is None:
+    if structure.below is None:
         raise ValueError(f"relation {relation!r} has no associated order to export")
     lines = [f'digraph "green_{relation}" {{', "  rankdir=TB;"]
     for i, members in enumerate(structure.classes):

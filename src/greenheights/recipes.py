@@ -18,6 +18,7 @@ A <source> is either a fixture name or a path to an mtab v1 file.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 from .core import (
@@ -47,10 +48,6 @@ def looks_like_recipe(text: str) -> bool:
     return bool(sep) and kind in RECIPE_KINDS
 
 
-def _default_read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _ints(text: str, count: int, recipe: str) -> list[int]:
     parts = text.split(",")
     if len(parts) != count:
@@ -61,16 +58,23 @@ def _ints(text: str, count: int, recipe: str) -> list[int]:
         raise ParseError(f"recipe {recipe!r}: parameters must be integers") from None
 
 
-def build_from_string(text: str, read_file=None) -> FiniteSemigroup:
+def load_input(text: str) -> FiniteSemigroup:
+    """Resolve an input string: '-' for stdin, a recipe string, or an mtab path."""
+    if text == "-":
+        return parse_mtab(sys.stdin.read())
+    if looks_like_recipe(text):
+        return build_from_string(text)
+    return parse_mtab(Path(text).read_text(encoding="utf-8"))
+
+
+def build_from_string(text: str) -> FiniteSemigroup:
     """Build the semigroup a recipe string describes."""
-    if read_file is None:
-        read_file = _default_read
 
     def resolve(source: str) -> FiniteSemigroup:
         if source in FIXTURE_NAMES:
             return fixture(source)
         try:
-            raw = read_file(source)
+            raw = Path(source).read_text(encoding="utf-8")
         except OSError as exc:
             raise ParseError(f"cannot read source {source!r}: {exc}") from None
         return parse_mtab(raw)

@@ -15,7 +15,7 @@ from functools import lru_cache
 from .constructions import collapse_to_zero
 from .core import FiniteSemigroup, Ideal, build_semigroup, opposite
 from .errors import InternalCheckError, NoZeroError
-from .green import below_masks, iter_bits, k_classes, k_height
+from .green import below_masks, k_classes, k_height
 
 
 def _require_zero(s: FiniteSemigroup) -> int:
@@ -93,8 +93,8 @@ def minimal_class_union(s: FiniteSemigroup, relation: str) -> set[int]:
     """The union of the minimal K-classes, K = relation."""
     structure = k_classes(s, relation)
     out: set[int] = set()
-    for i, covered in enumerate(structure.dag):
-        if not covered:
+    for i, lt in enumerate(structure.below):
+        if not lt:
             out.update(structure.classes[i])
     return out
 
@@ -106,7 +106,7 @@ def minimal_ideal(s: FiniteSemigroup) -> Ideal:
     union of the minimal R-classes.
     """
     structure = k_classes(s, "J")
-    sinks = [i for i, covered in enumerate(structure.dag) if not covered]
+    sinks = [i for i, lt in enumerate(structure.below) if not lt]
     if len(sinks) != 1:
         raise InternalCheckError(f"expected one minimal J-class, found {len(sinks)}")
     members = frozenset(structure.classes[sinks[0]])
@@ -140,16 +140,8 @@ def zero_minimal_classes(s: FiniteSemigroup, relation: str) -> list[int]:
     """Indices of the K-classes whose only strictly lower class is {0}."""
     zero = _require_zero(s)
     structure = k_classes(s, relation)
-    masks = below_masks(s, relation)
-    zero_class = structure.class_of[zero]
-    out = []
-    for c, members in enumerate(structure.classes):
-        if c == zero_class:
-            continue
-        below = {structure.class_of[b] for b in iter_bits(masks[members[0]])} - {c}
-        if below == {zero_class}:
-            out.append(c)
-    return out
+    only_zero = 1 << structure.class_of[zero]
+    return [c for c, lt in enumerate(structure.below) if lt == only_zero]
 
 
 def is_completely_0_simple(s: FiniteSemigroup) -> bool:

@@ -15,11 +15,12 @@ import copy
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 from .constructions import rees_quotient, u_of
 from .core import FiniteSemigroup, Ideal, format_mtab, ideal_closure
 from .enumeration import EnumerationConfig, enumerate_semigroups
-from .errors import InternalCheckError, SemigroupError
+from .errors import InternalCheckError, RangeError, SemigroupError
 from .green import (
     ORDERED_RELATIONS,
     HeightReport,
@@ -142,8 +143,6 @@ class _Context:
         self.factors = principal_factors(s)
         self.minimal = minimal_ideal(s)
         self._quotients: dict[frozenset, FiniteSemigroup] = {}
-        self._extension: FiniteSemigroup | None = None
-        self._socle: Ideal | None = None
 
     def quotient(self, ideal: Ideal) -> FiniteSemigroup:
         got = self._quotients.get(ideal.members)
@@ -152,20 +151,19 @@ class _Context:
             self._quotients[ideal.members] = got
         return got
 
+    @cached_property
     def socle(self) -> Ideal:
-        if self._socle is None:
-            self._socle = left_socle(self.s)
-        return self._socle
+        return left_socle(self.s)
 
+    @cached_property
     def extension(self) -> FiniteSemigroup:
-        if self._extension is None:
-            self._extension = u_of(self.s)
-        return self._extension
+        return u_of(self.s)
 
+    @cached_property
     def ideal_family(self) -> list[Ideal]:
         family = {self.minimal.members: self.minimal}
         if self.s.zero is not None:
-            soc = self.socle()
+            soc = self.socle
             family.setdefault(soc.members, soc)
         if self.s.order <= PRINCIPAL_IDEAL_LIMIT:
             for a in range(self.s.order):
@@ -264,7 +262,7 @@ def _eval_prop44(c: _Context):
 
 
 def _eval_prop521(c: _Context):
-    for ideal in c.ideal_family():
+    for ideal in c.ideal_family:
         q = c.quotient(ideal)
         for rel in ("L", "R", "J"):
             if c.h[rel] < k_height(q, rel):
@@ -288,7 +286,7 @@ def _eval_prop523(c: _Context):
 
 
 def _eval_star(c: _Context):
-    for ideal in c.ideal_family():
+    for ideal in c.ideal_family:
         q = c.quotient(ideal)
         for rel in ORDERED_RELATIONS:
             inside = height_within_ideal(c.s, ideal, rel)
@@ -303,11 +301,11 @@ def _eval_star(c: _Context):
 def _eval_thm531(c: _Context):
     if c.s.zero is None or c.s.order < 2:
         return None
-    q = c.quotient(c.socle())
+    q = c.quotient(c.socle)
     if c.h["L"] == k_height(q, "L") + 1:
         return True, None
     return False, (
-        f"left socle {_set_names(c.s, c.socle().members)}",
+        f"left socle {_set_names(c.s, c.socle.members)}",
         _chain(c.s, "L"),
         _chain(q, "L"),
     )
@@ -316,7 +314,7 @@ def _eval_thm531(c: _Context):
 def _eval_thm532(c: _Context):
     if c.s.zero is None:
         return None
-    q = c.quotient(c.socle())
+    q = c.quotient(c.socle)
     if c.h["R"] <= 2 * k_height(q, "R") + 1:
         return True, None
     return False, (_chain(c.s, "R"), _chain(q, "R"))
@@ -325,7 +323,7 @@ def _eval_thm532(c: _Context):
 def _eval_thm532_internal(c: _Context):
     if c.s.zero is None:
         return None
-    soc = c.socle()
+    soc = c.socle
     q = c.quotient(soc)
     if height_within_ideal(c.s, soc, "R") <= k_height(q, "R") + 2:
         return True, None
@@ -338,7 +336,7 @@ def _eval_thm532_internal(c: _Context):
 def _eval_thm533(c: _Context):
     if c.s.zero is None:
         return None
-    q = c.quotient(c.socle())
+    q = c.quotient(c.socle)
     if c.h["J"] <= k_height(q, "R") + k_height(q, "J") + 1:
         return True, None
     return False, (_chain(c.s, "J"), _chain(q, "R"), _chain(q, "J"))
@@ -349,7 +347,7 @@ def _eval_lem552(c: _Context):
         return None
     s = c.s
     n = s.order
-    u = c.extension()
+    u = c.extension
     expected = frozenset(range(n, 2 * n + 1)) | {s.zero}
     soc = left_socle(u)
     if soc.members != expected:
@@ -372,7 +370,7 @@ def _eval_lem552(c: _Context):
 def _eval_prop56(c: _Context):
     if c.s.zero is None:
         return None
-    u = c.extension()
+    u = c.extension
     ok = (
         k_height(u, "L") == c.h["L"] + 1
         and k_height(u, "R") == 2 * c.h["R"] + 1
@@ -596,7 +594,7 @@ def _provenance_attached(provenance: str):
 
 def _as_inputs(source):
     """(provenance, semigroup) pairs from a config or a list of configs,
-    recipe strings and pairs."""
+    input strings (recipes, mtab paths or '-') and pairs."""
     from . import recipes  # deferred: recipes sits above verify in the CLI
 
     for item in [source] if isinstance(source, EnumerationConfig) else source:
@@ -605,7 +603,7 @@ def _as_inputs(source):
                 yield f"enum:order={item.order}:index={i}", s
         elif isinstance(item, str):
             with _provenance_attached(item):
-                s = recipes.build_from_string(item)
+                s = recipes.load_input(item)
             yield item, s
         else:
             provenance, s = item
@@ -616,10 +614,12 @@ def sweep(source, jobs: int = 1) -> SweepSummary:
     """Run analyze + check_claims over a batch of inputs.
 
     ``source`` is an EnumerationConfig or a list whose items are
-    EnumerationConfigs, recipe strings or (provenance, semigroup) pairs. Every
-    input is built before any is evaluated; errors propagate with the
-    offending provenance attached.
+    EnumerationConfigs, input strings (recipes, mtab paths or '-' for stdin) or
+    (provenance, semigroup) pairs. Every input is built before any is
+    evaluated; errors propagate with the offending provenance attached.
     """
+    if jobs < 1:
+        raise RangeError(f"jobs must be at least 1, got {jobs}")
     pairs = list(_as_inputs(source))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -6,6 +6,7 @@ from functools import lru_cache
 
 from greenheights import build_semigroup
 from greenheights.core import unique_names
+from greenheights.green import below_masks, iter_bits
 from greenheights.enumeration import (
     associative_tables,
     closure,
@@ -199,3 +200,49 @@ def brute_force_chain(s, relation):
         if len(longest_from(a)) > len(best):
             best = longest_from(a)
     return best
+
+
+def naive_class_order(s, relation):
+    """Oracle for k_classes on an ordered relation, kept from its first form.
+
+    Compares every pair of class representatives, transposes the strict
+    order, reduces it to the Hasse diagram and pulls each depth from the
+    classes above. Returns (classes, below, dag, depth), indexed like
+    ``k_classes``: classes in order of their least members, bit j of
+    ``below[i]`` set when class j lies strictly below class i.
+    """
+    masks = below_masks(s, relation)
+    by_mask = {}
+    for a, m in enumerate(masks):
+        by_mask.setdefault(m, []).append(a)
+    classes = tuple(tuple(members) for members in by_mask.values())
+    count = len(classes)
+    reps = [members[0] for members in classes]
+
+    lt = [0] * count
+    for i in range(count):
+        mi = masks[reps[i]]
+        for j in range(count):
+            if i != j and (mi >> reps[j]) & 1:
+                lt[i] |= 1 << j
+    gt = [0] * count
+    for i in range(count):
+        for j in iter_bits(lt[i]):
+            gt[j] |= 1 << i
+
+    dag = []
+    for i in range(count):
+        covered = [j for j in iter_bits(lt[i]) if not (lt[i] & gt[j])]
+        dag.append(tuple(covered))
+
+    depth = [0] * count
+    order_by_height = sorted(range(count), key=lambda c: gt[c].bit_count())
+    for c in order_by_height:
+        above = [depth[p] for p in iter_bits(gt[c])]
+        depth[c] = 1 + max(above, default=0)
+    return classes, tuple(lt), tuple(dag), tuple(depth)
+
+
+def naive_leq_matrix(s, relation):
+    """``naive_leq`` for every pair: entry [a][b] says a <=_K b."""
+    return [[naive_leq(s, relation, a, b) for b in range(s.order)] for a in range(s.order)]

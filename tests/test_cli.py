@@ -1,8 +1,12 @@
+import io
 import json
 
-from greenheights import analyze, fixture, format_mtab, parse_mtab
+import pytest
+
+from greenheights import analyze, fixture, format_mtab, parse_mtab, sweep
 from greenheights.cli import main
-from greenheights.errors import InternalCheckError
+from greenheights.errors import InternalCheckError, ParseError
+from greenheights.verify import report_payload
 import greenheights.cli as cli_module
 import greenheights.verify as verify_module
 
@@ -75,6 +79,8 @@ def test_enumerate_count_and_stream(capsys):
     from greenheights import parse_mtab_stream
 
     assert len(parse_mtab_stream(out)) == 5
+    code, out, _ = run(capsys, "enumerate", "--order", "3", "--up-to-iso", "--fold-anti", "--count")
+    assert code == 0 and out.strip() == "18"
 
 
 def test_enumerate_limit(capsys):
@@ -237,3 +243,54 @@ def test_round_trip_construct_serialize_parse_analyze(capsys):
 
         for key, value in asdict(round_tripped).items():
             assert direct[key] == value
+
+
+def test_verify_names_the_input_it_cannot_load(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "badrow.mtab").write_text("2\n0 0\n0\n")  # the second row is short
+    code, out, err = run(capsys, "verify", "fixture:fig1_s", "u-of:badrow.mtab")
+    assert code == 2
+    assert out == ""
+    assert err == "error: u-of:badrow.mtab: line 3: row 1 has 1 entries, expected 2\n"
+    with pytest.raises(ParseError) as info:
+        sweep(["fixture:fig1_s", "u-of:badrow.mtab"])
+    assert info.value.line == 3
+
+
+def test_verify_and_sweep_give_the_same_record_for_an_mtab_path(capsys, tmp_path):
+    path = tmp_path / "ok.mtab"
+    path.write_text(format_mtab(fixture("fig1_u")))
+    report = tmp_path / "report.json"
+    code, _, _ = run(capsys, "verify", str(path), "--report", str(report))
+    assert code == 0
+    summary = sweep([str(path)])
+    assert summary.records[0]["input"] == {"provenance": str(path), "order": 7}
+    expected = json.dumps(report_payload(summary), indent=2) + "\n"
+    assert report.read_text(encoding="utf-8") == expected
+
+
+def test_verify_and_sweep_read_stdin(capsys, monkeypatch):
+    text = format_mtab(fixture("fig1_u"))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    summary = sweep(["-"])
+    assert summary.records[0]["input"] == {"provenance": "-", "order": 7}
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, _ = run(capsys, "verify", "-")
+    assert code == 0
+    assert "inputs: 1" in out and "violations: 0" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--order", "3", "--fold-anti"),
+        ("verify", "--up-to-iso", "fixture:fig1_s"),
+        ("verify", "--jobs", "-4", "fixture:fig1_s"),
+        ("verify", "--jobs", "0", "--enumerate-order", "2"),
+    ],
+)
+def test_flags_that_would_be_ignored_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

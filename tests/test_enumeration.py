@@ -100,6 +100,12 @@ def test_config_rejects_large_orders():
         EnumerationConfig(order=0)
 
 
+def test_config_rejects_folding_anti_isomorphs_without_isomorphism():
+    with pytest.raises(RangeError):
+        EnumerationConfig(order=3, include_anti_isomorphs=False)
+    EnumerationConfig(order=3, up_to_isomorphism=True, include_anti_isomorphs=False)
+
+
 def test_every_enumerated_semigroup_is_stable_and_group_bound():
     config = EnumerationConfig(order=3, up_to_isomorphism=True)
     for s in enumerate_semigroups(config):

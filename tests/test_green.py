@@ -1,4 +1,5 @@
 import itertools
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,10 @@ from greenheights import (
     preorder,
     squarefree_words,
     to_dot,
+    u_of,
 )
 from greenheights.green import below_masks
+from greenheights.recipes import build_from_string
 from greenheights.structure import left_socle
 
 from helpers import (
@@ -28,7 +31,9 @@ from helpers import (
     census,
     cyclic_group,
     left_zero,
+    naive_class_order,
     naive_leq,
+    naive_leq_matrix,
     order_five_and_six_samples,
 )
 
@@ -259,30 +264,29 @@ def test_longest_chains_match_a_brute_force_oracle():
             assert longest_chain_elements(s, relation) == brute_force_chain(s, relation)
 
 
-def _element_chain_within(s, members, relation):
-    le = preorder(s, relation)
-    best = {}
+def _brute_height_within(le, members):
+    """Longest strictly <=_K-decreasing element chain inside ``members``."""
 
+    @lru_cache(maxsize=None)
     def down(a):
-        if a not in best:
-            tails = [
-                down(b)
-                for b in members
-                if b != a and le[b][a] and not le[a][b]
-            ]
-            best[a] = 1 + max(tails, default=0)
-        return best[a]
+        lower = (down(b) for b in members if le[b][a] and not le[a][b])
+        return 1 + max(lower, default=0)
 
     return max(down(a) for a in members)
 
 
 def test_ideal_heights_match_an_element_level_oracle():
-    for s in census(3)[::2]:
-        for seed in range(s.order):
-            ideal = ideal_closure(s, [seed])
-            for relation in ("L", "R", "J", "H"):
+    # every principal ideal and the left socle, against chains from naive_leq
+    for s in census(3) + census(4)[::9]:
+        ideals = [ideal_closure(s, [a]) for a in range(s.order)]
+        if s.zero is not None:
+            ideals.append(left_socle(s))
+        for relation in ("L", "R", "J", "H"):
+            le = naive_leq_matrix(s, relation)
+            for ideal in ideals:
+                members = tuple(sorted(ideal.members))
                 assert height_within_ideal(s, ideal, relation) == (
-                    _element_chain_within(s, sorted(ideal.members), relation)
+                    _brute_height_within(le, members)
                 )
 
 
@@ -351,3 +355,34 @@ def test_longest_path_dps_handle_a_chain_of_order_1000():
     assert longest_chain_elements(s, "L") == tuple(range(n))
     assert height_within_ideal(s, Ideal(s, frozenset(range(n))), "L") == n
     assert idempotent_height(s) == n
+
+
+def test_class_order_depths_and_hasse_diagram_match_the_pairwise_oracle():
+    named = [build_from_string(r) for r in ("sqfree:4", "asym:3", "nm:4,11")]
+    inputs = [s for order in range(1, 5) for s in census(order)]
+    for s in inputs + named + [u_of(s) for s in named]:
+        for relation in ("L", "R", "J", "H"):
+            g = k_classes(s, relation)
+            assert (g.classes, g.below, g.dag, g.depth) == naive_class_order(s, relation)
+
+
+def test_d_classes_carry_no_order():
+    g = k_classes(fixture("fig2_u2"), "D")
+    assert g.below is None and g.dag is None and g.depth is None
+
+
+def _dot_from_oracle(s, relation):
+    classes, _, dag, _ = naive_class_order(s, relation)
+    lines = [f'digraph "green_{relation}" {{', "  rankdir=TB;"]
+    for i, members in enumerate(classes):
+        label = ",".join(s.name_of(m) for m in members)
+        lines.append(f"  c{i} [label=" + '"{' + label + '}"];')
+    lines += [f"  c{i} -> c{j};" for i, covered in enumerate(dag) for j in covered]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+@pytest.mark.parametrize("recipe", ["fixture:fig2_u2", "u-of:fig1_s"])
+def test_dot_export_draws_the_oracle_hasse_diagram(recipe):
+    s = build_from_string(recipe)
+    for relation in ("L", "R", "J", "H"):
+        assert to_dot(s, relation) == _dot_from_oracle(s, relation)

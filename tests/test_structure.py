@@ -26,10 +26,19 @@ from greenheights import (
     right_socle,
     squarefree_words,
     u_of,
+    zero_minimal_classes,
 )
 from greenheights.enumeration import closure, compose, transformation_name
+from greenheights.green import k_classes
 
-from helpers import adjoin_zero, census, cyclic_group, left_zero, naive_principal_factor
+from helpers import (
+    adjoin_zero,
+    census,
+    cyclic_group,
+    left_zero,
+    naive_leq_matrix,
+    naive_principal_factor,
+)
 
 
 def full_transformation_monoid(degree):
@@ -238,3 +247,29 @@ def test_side_height_two_forces_small_two_sided_height(s):
         assert hj in (2, 3)
     if hl == 2:
         assert hh == 2 and hr == hj
+
+
+def _brute_zero_minimal_classes(s, relation):
+    """The K-classes, as element sets, whose only strictly lower class is {0}."""
+    le = naive_leq_matrix(s, relation)
+    n = s.order
+    class_of = [frozenset(b for b in range(n) if le[a][b] and le[b][a]) for a in range(n)]
+    out = set()
+    for a in range(n):
+        lower = {class_of[b] for b in range(n) if le[b][a] and not le[a][b]}
+        if lower == {class_of[s.zero]}:
+            out.add(class_of[a])
+    return out
+
+
+def test_zero_minimal_classes_match_naive_leq():
+    found = 0
+    for s in census(3) + census(4)[::9]:
+        if s.zero is None:
+            continue
+        for relation in ("L", "R", "J", "H"):
+            g = k_classes(s, relation)
+            got = {frozenset(g.classes[c]) for c in zero_minimal_classes(s, relation)}
+            assert got == _brute_zero_minimal_classes(s, relation)
+            found += len(got)
+    assert found > 0

@@ -18,7 +18,13 @@ from greenheights import (
     squarefree_words,
     sweep,
 )
-from greenheights.errors import AssociativityError, InternalCheckError, ParseError, SemigroupError
+from greenheights.errors import (
+    AssociativityError,
+    InternalCheckError,
+    ParseError,
+    RangeError,
+    SemigroupError,
+)
 from greenheights.verify import (
     SCHEMA,
     input_record,
@@ -370,3 +376,28 @@ def test_provenance_reaches_the_message_of_every_error_type():
     renamed = _with_provenance(TwoArguments("a", "b"), "here")
     assert type(renamed) is SemigroupError
     assert str(renamed) == "here: a b"
+
+
+def test_sweep_rejects_fewer_than_one_job():
+    with pytest.raises(RangeError):
+        sweep(["fixture:fig1_s"], jobs=0)
+
+
+def test_each_context_builds_its_ideal_family_socle_and_extension_once(monkeypatch):
+    s = fixture("fig1_u")  # has a zero, and few enough elements for principal ideals
+    calls = {"ideal_closure": 0, "left_socle": 0, "u_of": 0}
+
+    def counted(name):
+        real = getattr(verify_module, name)
+
+        def wrapper(t, *args):
+            if t is s:
+                calls[name] += 1
+            return real(t, *args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(verify_module, name, counted(name))
+    check_claims(s)
+    assert calls == {"ideal_closure": s.order, "left_socle": 1, "u_of": 1}
