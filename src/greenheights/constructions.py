@@ -23,7 +23,7 @@ from .errors import (
     RangeError,
     UnknownFixtureError,
 )
-from .green import below_masks, k_height
+from .green import k_classes, k_height
 
 WORD_LETTERS = "xyzuvw"
 
@@ -118,10 +118,10 @@ def nm_family(n: int, m: int) -> FiniteSemigroup:
     previous = nm_family(n - 1, 2 ** (n - 1) - 1)
     extended = u_of(previous)
     size = extended.order  # 2**n - 1
-    ranks = [mask.bit_count() for mask in below_masks(extended, "R")]
-    if sorted(ranks) != list(range(1, size + 1)):
+    right = k_classes(extended, "R")
+    if sorted(right.depth) != list(range(1, size + 1)):
         raise InternalCheckError("expected a total R-order on the extension")
-    tail = frozenset(a for a in range(size) if ranks[a] <= size - m + 1)
+    tail = frozenset(a for a in range(size) if right.depth[right.class_of[a]] >= m)
     result = rees_quotient(extended, Ideal(extended, tail))
     if result.order != m:
         raise InternalCheckError(f"expected order {m}, built {result.order}")

@@ -237,6 +237,12 @@ def direct_product(s: FiniteSemigroup, t: FiniteSemigroup) -> FiniteSemigroup:
     return build_semigroup(rows, names)
 
 
+def _check_members(members, n):
+    for i in members:
+        if not isinstance(i, int) or not 0 <= i < n:
+            raise InvalidIdealError(f"ideal member {i!r} not in 0..{n - 1}")
+
+
 @dataclass(frozen=True)
 class Ideal:
     """A nonempty subset closed under two-sided multiplication by the parent.
@@ -254,9 +260,7 @@ class Ideal:
             raise EmptyIdealError("an ideal must be nonempty")
         n = self.parent.order
         table = self.parent.table
-        for i in self.members:
-            if not isinstance(i, int) or not 0 <= i < n:
-                raise InvalidIdealError(f"ideal member {i!r} not in 0..{n - 1}")
+        _check_members(self.members, n)
         for i in self.members:
             for a in range(n):
                 for p in (table[a][i], table[i][a]):
@@ -277,6 +281,7 @@ def ideal_closure(s: FiniteSemigroup, seed) -> Ideal:
         raise EmptyIdealError("ideal seed must be nonempty")
     table = s.table
     n = s.order
+    _check_members(members, n)
     frontier = list(members)
     while frontier:
         x = frontier.pop()
@@ -297,9 +302,10 @@ def ideal_closure(s: FiniteSemigroup, seed) -> Ideal:
 def parse_mtab(text: str) -> FiniteSemigroup:
     """Parse one table in mtab v1 format.
 
-    Malformed text, ragged rows, duplicate names and identity or zero hints
-    that the table does not bear out raise ParseError naming the line; a
-    non-associative table raises AssociativityError.
+    Malformed text, ragged rows, duplicate names, a repeated names, identity
+    or zero line and identity or zero hints that the table does not bear out
+    raise ParseError naming the line; a non-associative table raises
+    AssociativityError.
     """
     lines = text.splitlines()
     entries = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
@@ -338,10 +344,14 @@ def parse_mtab(text: str) -> FiniteSemigroup:
         rows.append(row)
     names = None
     hints = {}  # "identity"/"zero" -> (index, line number)
+    seen = set()
     for lineno, line in entries[1 + n:]:
         key, _, rest = line.partition(":")
         key = key.strip().lower()
         rest = rest.strip()
+        if key in seen:
+            raise ParseError(f"a second {key} line", line=lineno)
+        seen.add(key)
         if key == "names":
             names = rest.split()
             if len(names) != n:

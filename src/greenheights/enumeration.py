@@ -1,5 +1,5 @@
-"""Exhaustive generation of small semigroups and random transformation
-subsemigroups, feeding the verification harness.
+"""Exhaustive generation of small semigroups, which feeds the verification
+harness, and random transformation subsemigroups, which feed the tests.
 
 The backtracking generator fills the table row-major and, after every cell
 assignment, rechecks exactly those associativity triples whose remaining

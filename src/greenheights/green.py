@@ -6,6 +6,8 @@ exactly when a <=_K b. Two elements are K-equivalent precisely when their
 dominance masks coincide, so classes fall out of a single grouping pass.
 The strict class order is read off the representatives' masks once, as one
 strictly-below bitmask per class; its Hasse diagram is derived only for export.
+D is read off the L- and R-classes as L o R. The masks stay inside this
+module: other modules read the classes and their order from :func:`k_classes`.
 """
 
 from __future__ import annotations
@@ -126,40 +128,14 @@ def _group_by_mask(masks):
 
 
 def _d_partition(s: FiniteSemigroup):
-    """Join of the L- and R-partitions via union-find."""
-    n = s.order
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for relation in ("L", "R"):
-        _, classes = _group_by_mask(below_masks(s, relation))
-        for members in classes:
-            for other in members[1:]:
-                union(members[0], other)
-
-    roots: dict[int, int] = {}
-    class_of = []
-    classes: list[list[int]] = []
-    for a in range(n):
-        r = find(a)
-        c = roots.get(r)
-        if c is None:
-            c = len(classes)
-            roots[r] = c
-            classes.append([])
-        class_of.append(c)
-        classes[c].append(a)
-    return class_of, classes
+    """D = L o R (Green's lemma): each L-class of a D-class meets every R-class
+    of that D-class and no other, so the R-classes it meets name its D-class."""
+    left = k_classes(s, "L")
+    right = k_classes(s, "R").class_of
+    meets = [0] * left.class_count
+    for a, c in enumerate(left.class_of):
+        meets[c] |= 1 << right[a]
+    return _group_by_mask([meets[c] for c in left.class_of])
 
 
 @lru_cache(maxsize=1024)
@@ -335,6 +311,7 @@ def to_dot(s: FiniteSemigroup, relation: str) -> str:
     lines = [f'digraph "green_{relation}" {{', "  rankdir=TB;"]
     for i, members in enumerate(structure.classes):
         label = "{" + ",".join(s.name_of(m) for m in members) + "}"
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  c{i} [label="{label}"];')
     for i, covered in enumerate(structure.dag):
         for j in covered:

@@ -1,5 +1,9 @@
 """Structural predicates and decompositions built on the Green machinery.
 
+Every Green fact here (stability, H-relatedness, minimal and 0-minimal
+classes, principal factors) is read from the class structures of
+:func:`~greenheights.green.k_classes`, never from element dominance masks.
+
 Several functions double as self-tests: facts that hold for every finite
 semigroup (stability, the minimal-ideal descriptions, Green's idempotent
 criterion for regularity) are recomputed from the definitions, and a
@@ -15,7 +19,7 @@ from functools import lru_cache
 from .constructions import collapse_to_zero
 from .core import FiniteSemigroup, Ideal, build_semigroup, opposite
 from .errors import InternalCheckError, NoZeroError
-from .green import below_masks, k_classes, k_height
+from .green import k_classes, k_height
 
 
 def _require_zero(s: FiniteSemigroup) -> int:
@@ -25,18 +29,15 @@ def _require_zero(s: FiniteSemigroup) -> int:
 
 
 def _side_stable(s: FiniteSemigroup, relation: str) -> bool:
-    """Whether a <=_K b together with a J b always forces a K b, for K = relation."""
-    side = below_masks(s, relation)
-    two_sided = below_masks(s, "J")
-    n = s.order
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            if (side[b] >> a) & 1 and two_sided[a] == two_sided[b]:
-                if not (side[a] >> b) & 1:
-                    return False
-    return True
+    """Whether a <=_K b together with a J b always forces a K b, for K = relation:
+    no K-class lies strictly below another K-class of the same J-class."""
+    side = k_classes(s, relation)
+    two_sided = k_classes(s, "J")
+    j_of = [two_sided.class_of[members[0]] for members in side.classes]
+    inside = [0] * two_sided.class_count  # per J-class, the K-classes it contains
+    for c, j in enumerate(j_of):
+        inside[j] |= 1 << c
+    return not any(lt & inside[j] for lt, j in zip(side.below, j_of))
 
 
 def is_left_stable(s: FiniteSemigroup) -> bool:
@@ -59,7 +60,7 @@ def group_bound_exponents(s: FiniteSemigroup) -> tuple[int, ...]:
     Such a k exists with k <= order because the power sequence enters its
     cycle, a subgroup, within order steps.
     """
-    h_masks = below_masks(s, "H")
+    h_of = k_classes(s, "H").class_of
     table = s.table
     n = s.order
     out = []
@@ -69,7 +70,7 @@ def group_bound_exponents(s: FiniteSemigroup) -> tuple[int, ...]:
             powers.append(table[powers[-1]][a])
         found = None
         for k in range(1, n + 1):
-            if h_masks[powers[k - 1]] == h_masks[powers[2 * k - 1]]:
+            if h_of[powers[k - 1]] == h_of[powers[2 * k - 1]]:
                 found = k
                 break
         if found is None:

@@ -18,15 +18,16 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .constructions import rees_quotient, u_of
-from .core import FiniteSemigroup, Ideal, format_mtab, ideal_closure
+from .core import FiniteSemigroup, Ideal, format_mtab
 from .enumeration import EnumerationConfig, enumerate_semigroups
 from .errors import InternalCheckError, RangeError, SemigroupError
 from .green import (
     ORDERED_RELATIONS,
     HeightReport,
-    below_masks,
     height_within_ideal,
     idempotent_height,
+    iter_bits,
+    k_classes,
     k_height,
     longest_chain_elements,
     longest_chain_oracle,
@@ -49,7 +50,7 @@ from .structure import (
 SCHEMA = "green-heights/1"
 
 # How many elements a semigroup may have before the per-element chain oracle
-# and the per-element principal-ideal family are considered too expensive.
+# and the principal-ideal family are considered too expensive.
 ORACLE_LIMIT = 8
 PRINCIPAL_IDEAL_LIMIT = 12
 
@@ -166,9 +167,11 @@ class _Context:
             soc = self.socle
             family.setdefault(soc.members, soc)
         if self.s.order <= PRINCIPAL_IDEAL_LIMIT:
-            for a in range(self.s.order):
-                ide = ideal_closure(self.s, [a])
-                family.setdefault(ide.members, ide)
+            # one principal ideal per J-class: the class and every class below it
+            j = k_classes(self.s, "J")
+            for c, lt in enumerate(j.below):
+                members = frozenset(a for d in iter_bits(lt | 1 << c) for a in j.classes[d])
+                family.setdefault(members, Ideal(self.s, members))
         return [
             family[key]
             for key in sorted(family, key=lambda m: (len(m), sorted(m)))
@@ -204,7 +207,7 @@ def _eval_lem22(c: _Context):
 def _eval_lem34(c: _Context):
     n = c.h["H"]
     table = c.s.table
-    masks = below_masks(c.s, "H")
+    h_of = k_classes(c.s, "H").class_of
     for a in range(c.s.order):
         p = a
         for _ in range(n - 1):
@@ -212,7 +215,7 @@ def _eval_lem34(c: _Context):
         q = p
         for _ in range(n):
             q = table[q][a]
-        if masks[p] != masks[q]:
+        if h_of[p] != h_of[q]:
             name = c.s.name_of(a)
             return False, (f"{name}^{n} and {name}^{2 * n} are not H-related",)
     return True, None
@@ -592,19 +595,26 @@ def _provenance_attached(provenance: str):
         raise _with_provenance(exc, provenance) from exc
 
 
-def _as_inputs(source):
-    """(provenance, semigroup) pairs from a config or a list of configs,
-    input strings (recipes, mtab paths or '-') and pairs."""
+def _loaded(text: str):
+    """The (provenance, semigroup) pair of one input string."""
     from . import recipes  # deferred: recipes sits above verify in the CLI
 
-    for item in [source] if isinstance(source, EnumerationConfig) else source:
+    with _provenance_attached(text):
+        return text, recipes.load_input(text)
+
+
+def _as_inputs(source):
+    """(provenance, semigroup) pairs from a config or a list of configs,
+    input strings (recipes, mtab paths or '-') and pairs, in the given order.
+
+    Every input string is loaded before any config is enumerated, so a bad
+    path or recipe fails before a census is generated."""
+    items = [source] if isinstance(source, EnumerationConfig) else list(source)
+    items = [_loaded(item) if isinstance(item, str) else item for item in items]
+    for item in items:
         if isinstance(item, EnumerationConfig):
             for i, s in enumerate(enumerate_semigroups(item)):
                 yield f"enum:order={item.order}:index={i}", s
-        elif isinstance(item, str):
-            with _provenance_attached(item):
-                s = recipes.load_input(item)
-            yield item, s
         else:
             provenance, s = item
             yield provenance, s

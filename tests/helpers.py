@@ -4,9 +4,12 @@ import itertools
 import random
 from functools import lru_cache
 
-from greenheights import build_semigroup
-from greenheights.core import unique_names
+from greenheights import build_semigroup, u_of
+from greenheights.core import ideal_closure, unique_names
 from greenheights.green import below_masks, iter_bits
+from greenheights.recipes import build_from_string
+from greenheights.structure import left_socle, minimal_ideal
+from greenheights.verify import PRINCIPAL_IDEAL_LIMIT
 from greenheights.enumeration import (
     associative_tables,
     closure,
@@ -246,3 +249,76 @@ def naive_class_order(s, relation):
 def naive_leq_matrix(s, relation):
     """``naive_leq`` for every pair: entry [a][b] says a <=_K b."""
     return [[naive_leq(s, relation, a, b) for b in range(s.order)] for a in range(s.order)]
+
+
+@lru_cache(maxsize=None)
+def differential_inputs():
+    """Inputs for the differential tests against the mask-based oracles: the
+    census of orders 1-4, ``order_five_and_six_samples()``, three named
+    constructions and the null ideal extension of each that has a zero."""
+    named = tuple(build_from_string(r) for r in ("sqfree:4", "asym:3", "nm:4,11"))
+    extensions = tuple(u_of(s) for s in named if s.zero is not None)
+    inputs = tuple(s for order in range(1, 5) for s in census(order))
+    return inputs + order_five_and_six_samples() + named + extensions
+
+
+def naive_d_partition(s):
+    """Oracle for the D-classes, kept from the first form of k_classes: the
+    join of the L- and R-partitions by union-find. Returns (class_of, classes)
+    with classes in order of their least members."""
+    n = s.order
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for relation in ("L", "R"):
+        by_mask = {}
+        for a, m in enumerate(below_masks(s, relation)):
+            by_mask.setdefault(m, []).append(a)
+        for members in by_mask.values():
+            for other in members[1:]:
+                rx, ry = find(members[0]), find(other)
+                if rx != ry:
+                    parent[max(rx, ry)] = min(rx, ry)
+
+    roots = {}
+    class_of = []
+    classes = []
+    for a in range(n):
+        c = roots.setdefault(find(a), len(classes))
+        if c == len(classes):
+            classes.append([])
+        class_of.append(c)
+        classes[c].append(a)
+    return tuple(class_of), tuple(tuple(c) for c in classes)
+
+
+def naive_side_stable(s, relation):
+    """Oracle for stability, kept from its first form: no pair a != b with
+    a <=_K b and a J b but not b <=_K a, read off the element masks."""
+    side = below_masks(s, relation)
+    two_sided = below_masks(s, "J")
+    n = s.order
+    for a in range(n):
+        for b in range(n):
+            if a != b and (side[b] >> a) & 1 and two_sided[a] == two_sided[b]:
+                if not (side[a] >> b) & 1:
+                    return False
+    return True
+
+
+def naive_ideal_family(s):
+    """Oracle for the claim harness's ideal family, kept from its first form:
+    the minimal ideal, the left socle when there is a zero and, up to
+    PRINCIPAL_IDEAL_LIMIT elements, the ideal closure of every element.
+    Returns the member sets, ordered by size and then by sorted members."""
+    family = {minimal_ideal(s).members}
+    if s.zero is not None:
+        family.add(left_socle(s).members)
+    if s.order <= PRINCIPAL_IDEAL_LIMIT:
+        family.update(ideal_closure(s, [a]).members for a in range(s.order))
+    return sorted(family, key=lambda m: (len(m), sorted(m)))

@@ -294,3 +294,24 @@ def test_flags_that_would_be_ignored_are_rejected(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, err",
+    [
+        (("verify", "rees:fig1_s,99"), "",
+         "error: rees:fig1_s,99: ideal member 99 not in 0..2\n"),
+        (("construct", "-"), "2\n0 1\n1 0\nnames: a b\nnames: c d\n",
+         "error: line 5: a second names line\n"),
+        (("analyze", "-"), "2\n0 1\n1 0\nidentity: 0\nidentity: 0\n",
+         "error: line 5: a second identity line\n"),
+        (("verify", "-"), "2\n0 0\n0 0\nzero: 0\nzero: 0\n",
+         "error: -: line 5: a second zero line\n"),
+    ],
+    ids=["ideal-seed", "second-names", "second-identity", "second-zero"],
+)
+def test_bad_ideal_seeds_and_repeated_trailing_lines_exit_two(
+    capsys, monkeypatch, argv, stdin, err
+):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert run(capsys, *argv) == (2, "", err)

@@ -308,6 +308,14 @@ def test_ideal_validation_rejects_unclosed_sets():
         Ideal(s, frozenset())
 
 
+def test_ideal_closure_rejects_seeds_outside_the_table():
+    s = fixture("fig1_s")
+    for seed, bad in (([99], 99), ([-1], -1), ([0, 3], 3)):
+        with pytest.raises(InvalidIdealError) as info:
+            ideal_closure(s, seed)
+        assert str(info.value) == f"ideal member {bad} not in 0..2"
+
+
 def test_mtab_round_trip():
     for s in (fixture("fig1_s"), fixture("fig2_u2"), left_zero(3), cyclic_group(3)):
         again = parse_mtab(format_mtab(s))
@@ -363,11 +371,16 @@ def test_mtab_rejects_bad_metadata():
         ("2\n0 0\n1 1\nnames: a a\n", 4, "element names must be pairwise distinct"),
         ("2\n0 0\n1 1\nidentity: 0\n", 4, "element 0 is not a two-sided identity"),
         ("2\n0 0\n1 1\nnames: a b\nzero: 1\n", 5, "element 1 is not a two-sided zero"),
+        ("2\n0 1\n1 0\nnames: a b\nnames: c d\n", 5, "a second names line"),
+        ("2\n0 1\n1 0\nidentity: 0\nzero: 1\nIdentity: 0\n", 6, "a second identity line"),
+        ("2\n0 0\n1 1\nzero: 1\nzero: 1\n", 5, "a second zero line"),
     ],
-    ids=["duplicate-names", "false-identity", "false-zero"],
+    ids=["duplicate-names", "false-identity", "false-zero", "second-names",
+         "second-identity", "second-zero"],
 )
 def test_mtab_rejects_names_and_hints_the_table_does_not_bear_out(text, line, message):
-    # the left-zero table: distinct names needed, no identity, no zero
+    # the left-zero table needs distinct names and has no identity and no zero;
+    # a repeated trailing line is refused before the table is checked
     with pytest.raises(ParseError) as info:
         parse_mtab(text)
     assert info.value.line == line

@@ -30,8 +30,10 @@ from helpers import (
     brute_force_chain,
     census,
     cyclic_group,
+    differential_inputs,
     left_zero,
     naive_class_order,
+    naive_d_partition,
     naive_leq,
     naive_leq_matrix,
     order_five_and_six_samples,
@@ -366,6 +368,12 @@ def test_class_order_depths_and_hasse_diagram_match_the_pairwise_oracle():
             assert (g.classes, g.below, g.dag, g.depth) == naive_class_order(s, relation)
 
 
+def test_d_classes_match_the_union_find_oracle():
+    for s in differential_inputs():
+        g = k_classes(s, "D")
+        assert (g.class_of, g.classes) == naive_d_partition(s)
+
+
 def test_d_classes_carry_no_order():
     g = k_classes(fixture("fig2_u2"), "D")
     assert g.below is None and g.dag is None and g.depth is None
@@ -386,3 +394,10 @@ def test_dot_export_draws_the_oracle_hasse_diagram(recipe):
     s = build_from_string(recipe)
     for relation in ("L", "R", "J", "H"):
         assert to_dot(s, relation) == _dot_from_oracle(s, relation)
+
+
+def test_dot_labels_escape_quotes_and_backslashes():
+    s = build_semigroup([[0, 1, 2], [1, 1, 2], [2, 2, 2]], ["e", 'a"q', "b\\s"])
+    lines = to_dot(s, "J").splitlines()
+    assert '  c1 [label="{a\\"q}"];' in lines
+    assert '  c2 [label="{b\\\\s}"];' in lines

@@ -29,15 +29,18 @@ from greenheights import (
     zero_minimal_classes,
 )
 from greenheights.enumeration import closure, compose, transformation_name
-from greenheights.green import k_classes
+from greenheights.green import GreenStructure, k_classes
+import greenheights.structure as structure_module
 
 from helpers import (
     adjoin_zero,
     census,
     cyclic_group,
+    differential_inputs,
     left_zero,
     naive_leq_matrix,
     naive_principal_factor,
+    naive_side_stable,
 )
 
 
@@ -273,3 +276,26 @@ def test_zero_minimal_classes_match_naive_leq():
             assert got == _brute_zero_minimal_classes(s, relation)
             found += len(got)
     assert found > 0
+
+
+def test_stability_matches_the_element_pair_oracle():
+    for s in differential_inputs():
+        assert is_left_stable(s) == naive_side_stable(s, "L")
+        assert is_right_stable(s) == naive_side_stable(s, "R")
+
+
+@pytest.mark.parametrize("relation", ["L", "R"])
+def test_a_class_strictly_below_another_in_its_j_class_is_unstable(monkeypatch, relation):
+    # a made-up order, since every finite semigroup is stable: two K-classes,
+    # the second strictly below the first, inside a single J-class
+    s = left_zero(2)
+    fake = {
+        relation: GreenStructure(relation, (0, 1), ((0,), (1,)), (0b10, 0), (1, 2)),
+        "J": GreenStructure("J", (0, 0), ((0, 1),), (0,), (1,)),
+    }
+    real = structure_module.k_classes
+    monkeypatch.setattr(
+        structure_module, "k_classes", lambda t, rel: fake.get(rel) or real(t, rel)
+    )
+    stable = {"L": is_left_stable(s), "R": is_right_stable(s)}
+    assert stable == {"L": relation != "L", "R": relation != "R"}

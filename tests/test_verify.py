@@ -14,6 +14,7 @@ from greenheights import (
     build_semigroup,
     check_claims,
     fixture,
+    k_classes,
     parse_mtab,
     squarefree_words,
     sweep,
@@ -27,6 +28,7 @@ from greenheights.errors import (
 )
 from greenheights.verify import (
     SCHEMA,
+    _Context,
     input_record,
     report_payload,
     summary_csv_rows,
@@ -34,7 +36,7 @@ from greenheights.verify import (
 
 import greenheights.verify as verify_module
 
-from helpers import census
+from helpers import census, differential_inputs, naive_ideal_family
 
 
 EXPECTED_CLAIM_IDS = (
@@ -385,7 +387,8 @@ def test_sweep_rejects_fewer_than_one_job():
 
 def test_each_context_builds_its_ideal_family_socle_and_extension_once(monkeypatch):
     s = fixture("fig1_u")  # has a zero, and few enough elements for principal ideals
-    calls = {"ideal_closure": 0, "left_socle": 0, "u_of": 0}
+    # verify builds one Ideal per principal ideal, that is per J-class
+    calls = {"Ideal": 0, "left_socle": 0, "u_of": 0}
 
     def counted(name):
         real = getattr(verify_module, name)
@@ -400,4 +403,22 @@ def test_each_context_builds_its_ideal_family_socle_and_extension_once(monkeypat
     for name in calls:
         monkeypatch.setattr(verify_module, name, counted(name))
     check_claims(s)
-    assert calls == {"ideal_closure": s.order, "left_socle": 1, "u_of": 1}
+    j_count = k_classes(s, "J").class_count
+    assert calls == {"Ideal": j_count, "left_socle": 1, "u_of": 1}
+
+
+def test_ideal_family_matches_the_per_element_closure_oracle():
+    for s in differential_inputs():
+        family = _Context(s, analyze(s)).ideal_family
+        assert [ideal.members for ideal in family] == naive_ideal_family(s)
+
+
+def test_sweep_loads_every_input_string_before_enumerating(monkeypatch, tmp_path):
+    def refuse(config):
+        raise AssertionError("enumerated before the inputs were loaded")
+
+    monkeypatch.setattr(verify_module, "enumerate_semigroups", refuse)
+    missing = str(tmp_path / "nonexist.mtab")
+    with pytest.raises(FileNotFoundError) as info:
+        sweep([EnumerationConfig(order=4), missing])
+    assert str(info.value).startswith(f"{missing}: ")
