@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+import warnings
 from pathlib import Path
 
 from .core import format_mtab
@@ -33,6 +35,20 @@ def _write_or_print(payload: str, output: str | None):
         sys.stdout.write(payload)
     else:
         Path(output).write_text(payload, encoding="utf-8")
+
+
+def _check_writable(paths):
+    """Open each output path for appending, so that a bad path fails before a
+    long sweep; an existing file keeps its bytes and a new one is removed."""
+    for path in paths:
+        existed = os.path.exists(path)
+        open(path, "a", encoding="utf-8").close()
+        if not existed:
+            os.remove(path)
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _cmd_analyze(args) -> int:
@@ -82,6 +98,7 @@ def _cmd_verify(args) -> int:
     if not inputs:
         print("nothing to verify: pass recipes or --enumerate-order", file=sys.stderr)
         return 2
+    _check_writable(p for p in (args.report, args.csv, args.triples_log) if p is not None)
     summary = sweep(inputs, jobs=args.jobs)
 
     print(f"inputs: {summary.inputs}")
@@ -186,7 +203,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except InternalCheckError as exc:
         print(f"internal cross-check failure: {exc}", file=sys.stderr)
         return 3

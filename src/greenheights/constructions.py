@@ -119,9 +119,9 @@ def nm_family(n: int, m: int) -> FiniteSemigroup:
     extended = u_of(previous)
     size = extended.order  # 2**n - 1
     right = k_classes(extended, "R")
-    if sorted(right.depth) != list(range(1, size + 1)):
+    if sorted(right.height) != list(range(1, size + 1)):
         raise InternalCheckError("expected a total R-order on the extension")
-    tail = frozenset(a for a in range(size) if right.depth[right.class_of[a]] >= m)
+    tail = frozenset(a for a in range(size) if right.height[right.class_of[a]] <= size + 1 - m)
     result = rees_quotient(extended, Ideal(extended, tail))
     if result.order != m:
         raise InternalCheckError(f"expected order {m}, built {result.order}")

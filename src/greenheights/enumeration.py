@@ -4,8 +4,8 @@ harness, and random transformation subsemigroups, which feed the tests.
 The backtracking generator fills the table row-major and, after every cell
 assignment, rechecks exactly those associativity triples whose remaining
 cells just became determined, so each violated triple is caught as soon as it
-is decidable. A filter-after-generate oracle provides an independent route
-for validating the generator at small orders.
+is decidable. The tests check it table for table against a filter-after-generate
+oracle at small orders.
 """
 
 from __future__ import annotations
@@ -109,28 +109,6 @@ def associative_tables(order: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         table[i][j] = -1
 
     yield from fill(0)
-
-
-def brute_force_tables(order: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Filter-after-generate oracle: all n^(n*n) tables, kept if associative.
-
-    Practical only for order <= 3; used to validate the backtracking
-    generator. The associativity check here is the literal triple loop,
-    independent of the incremental pruning above.
-    """
-    n = order
-    out = []
-    indices = range(n)
-    for flat in itertools.product(indices, repeat=n * n):
-        table = tuple(flat[i * n:(i + 1) * n] for i in range(n))
-        if all(
-            table[table[a][b]][c] == table[a][table[b][c]]
-            for a in indices
-            for b in indices
-            for c in indices
-        ):
-            out.append(table)
-    return out
 
 
 @lru_cache(maxsize=1)

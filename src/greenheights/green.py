@@ -5,7 +5,8 @@ ideal, stored as one bitmask per element: ``below[b]`` has bit ``a`` set
 exactly when a <=_K b. Two elements are K-equivalent precisely when their
 dominance masks coincide, so classes fall out of a single grouping pass.
 The strict class order is read off the representatives' masks once, as one
-strictly-below bitmask per class; its Hasse diagram is derived only for export.
+strictly-below bitmask per class, and each class's height is pulled up from
+the classes below it in the same pass; the Hasse diagram is derived only for export.
 D is read off the L- and R-classes as L o R. The masks stay inside this
 module: other modules read the classes and their order from :func:`k_classes`.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import FiniteSemigroup, Ideal
-from .errors import EmptyIdealError, InvalidIdealError
+from .errors import InvalidIdealError
 
 ORDERED_RELATIONS = ("L", "R", "J", "H")
 RELATIONS = ORDERED_RELATIONS + ("D",)
@@ -77,20 +78,20 @@ def preorder(s: FiniteSemigroup, relation: str) -> list[list[bool]]:
 
 @dataclass(frozen=True)
 class GreenStructure:
-    """One Green's relation on one semigroup: classes, their order and depths.
+    """One Green's relation on one semigroup: classes, their order and heights.
 
     Bit j of ``below[i]`` says class j lies strictly below class i.
-    ``depth[i]`` counts the classes in the longest chain from a maximal class
-    down to i, inclusive, so the K-height is max(depth). For D, which carries
-    no order, ``below`` and ``depth`` are None and only the partition is
-    populated.
+    ``height[i]`` counts the classes in the longest chain from class i down
+    to a minimal class, inclusive, so the K-height is max(height). For D,
+    which carries no order, ``below`` and ``height`` are None and only the
+    partition is populated.
     """
 
     relation: str
     class_of: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
     below: tuple[int, ...] | None
-    depth: tuple[int, ...] | None
+    height: tuple[int, ...] | None
 
     @property
     def class_count(self) -> int:
@@ -140,7 +141,7 @@ def _d_partition(s: FiniteSemigroup):
 
 @lru_cache(maxsize=1024)
 def k_classes(s: FiniteSemigroup, relation: str) -> GreenStructure:
-    """Classes of one Green's relation, with their strict order and depths.
+    """Classes of one Green's relation, with their strict order and heights.
 
     ``relation`` is one of L, R, J, H, D. Class indices are assigned by the
     smallest contained element, making every field deterministic.
@@ -159,24 +160,23 @@ def k_classes(s: FiniteSemigroup, relation: str) -> GreenStructure:
     reps = [members[0] for members in classes]
     rep_bits = sum(1 << r for r in reps)
     below = [0] * len(classes)
-    depth = [1] * len(classes)
-    # a class strictly above another has a strictly larger mask, so each class
-    # is reached after all classes above it have pushed their depths down
-    for c in sorted(range(len(classes)), key=lambda c: -masks[reps[c]].bit_count()):
-        d = depth[c] + 1
+    height = [1] * len(classes)
+    # a class strictly below another has a strictly smaller mask, so each class
+    # is reached after all classes below it have their heights
+    for c in sorted(range(len(classes)), key=lambda c: masks[reps[c]].bit_count()):
         for r in iter_bits(masks[reps[c]] & rep_bits):
             j = class_of[r]
             if j != c:
                 below[c] |= 1 << j
-                if depth[j] < d:
-                    depth[j] = d
+                if height[c] <= height[j]:
+                    height[c] = height[j] + 1
 
     return GreenStructure(
         relation,
         tuple(class_of),
         tuple(tuple(c) for c in classes),
         tuple(below),
-        tuple(depth),
+        tuple(height),
     )
 
 
@@ -184,8 +184,7 @@ def k_height(s: FiniteSemigroup, relation: str) -> int:
     """Number of classes in the longest chain of K-classes (at least 1)."""
     if relation not in ORDERED_RELATIONS:
         raise ValueError(f"heights are defined for {ORDERED_RELATIONS}, not {relation!r}")
-    structure = k_classes(s, relation)
-    return max(structure.depth)
+    return max(k_classes(s, relation).height)
 
 
 def _strictly_below(masks, a):
@@ -249,17 +248,10 @@ def height_within_ideal(s: FiniteSemigroup, ideal: Ideal, relation: str) -> int:
         raise ValueError(f"heights are defined for {ORDERED_RELATIONS}, not {relation!r}")
     if ideal.parent != s:
         raise InvalidIdealError("ideal belongs to a different semigroup")
-    if not ideal.members:
-        raise EmptyIdealError("an ideal must be nonempty")
     structure = k_classes(s, relation)
-    below = structure.below
-    # an ideal is a union of K-classes, so a nonempty ideal contains one; a class
-    # lies inside it when its least member does, and then so do all classes below
-    inside = [c for c, cls in enumerate(structure.classes) if cls[0] in ideal.members]
-    # a class strictly below another has a strictly smaller below-set
-    nodes = sorted(inside, key=lambda c: below[c].bit_count())
-    length, _ = _longest_paths(nodes, lambda c: iter_bits(below[c]))
-    return max(length.values())
+    # an ideal is a nonempty union of K-classes and a down-set, so a class lies
+    # inside it when its least member does, and then so does every chain below
+    return max(h for h, cls in zip(structure.height, structure.classes) if cls[0] in ideal.members)
 
 
 def idempotent_height(s: FiniteSemigroup) -> int:

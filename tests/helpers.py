@@ -6,7 +6,7 @@ from functools import lru_cache
 
 from greenheights import build_semigroup, u_of
 from greenheights.core import ideal_closure, unique_names
-from greenheights.green import below_masks, iter_bits
+from greenheights.green import _longest_paths, below_masks, iter_bits, k_classes
 from greenheights.recipes import build_from_string
 from greenheights.structure import left_socle, minimal_ideal
 from greenheights.verify import PRINCIPAL_IDEAL_LIMIT
@@ -32,6 +32,28 @@ def census(order):
 def order_five_prefix(count):
     """The first ``count`` order-5 tables of the (lexicographic) census."""
     return tuple(itertools.islice(associative_tables(5), count))
+
+
+def brute_force_tables(order):
+    """Filter-after-generate oracle: all n^(n*n) tables, kept if associative.
+
+    Practical only for order <= 3; validates the backtracking generator
+    ``associative_tables``. The associativity check here is the literal
+    triple loop, independent of the generator's incremental pruning.
+    """
+    n = order
+    out = []
+    indices = range(n)
+    for flat in itertools.product(indices, repeat=n * n):
+        table = tuple(flat[i * n:(i + 1) * n] for i in range(n))
+        if all(
+            table[table[a][b]][c] == table[a][table[b][c]]
+            for a in indices
+            for b in indices
+            for c in indices
+        ):
+            out.append(table)
+    return out
 
 
 def brute_force_canonical_table(table, fold_anti_isomorphs=False):
@@ -209,8 +231,8 @@ def naive_class_order(s, relation):
     """Oracle for k_classes on an ordered relation, kept from its first form.
 
     Compares every pair of class representatives, transposes the strict
-    order, reduces it to the Hasse diagram and pulls each depth from the
-    classes above. Returns (classes, below, dag, depth), indexed like
+    order, reduces it to the Hasse diagram and pulls each height from the
+    classes below. Returns (classes, below, dag, height), indexed like
     ``k_classes``: classes in order of their least members, bit j of
     ``below[i]`` set when class j lies strictly below class i.
     """
@@ -238,12 +260,24 @@ def naive_class_order(s, relation):
         covered = [j for j in iter_bits(lt[i]) if not (lt[i] & gt[j])]
         dag.append(tuple(covered))
 
-    depth = [0] * count
-    order_by_height = sorted(range(count), key=lambda c: gt[c].bit_count())
+    height = [0] * count
+    order_by_height = sorted(range(count), key=lambda c: lt[c].bit_count())
     for c in order_by_height:
-        above = [depth[p] for p in iter_bits(gt[c])]
-        depth[c] = 1 + max(above, default=0)
-    return classes, tuple(lt), tuple(dag), tuple(depth)
+        lower = [height[q] for q in iter_bits(lt[c])]
+        height[c] = 1 + max(lower, default=0)
+    return classes, tuple(lt), tuple(dag), tuple(height)
+
+
+def naive_height_within_ideal(s, ideal, relation):
+    """Oracle for height_within_ideal, kept from its first form: the longest
+    path through the classes inside the ideal, found afresh per call."""
+    structure = k_classes(s, relation)
+    below = structure.below
+    inside = [c for c, cls in enumerate(structure.classes) if cls[0] in ideal.members]
+    # a class strictly below another has a strictly smaller below-set
+    nodes = sorted(inside, key=lambda c: below[c].bit_count())
+    length, _ = _longest_paths(nodes, lambda c: iter_bits(below[c]))
+    return max(length.values())
 
 
 def naive_leq_matrix(s, relation):

@@ -18,10 +18,10 @@ from greenheights import (
     squarefree_words,
     u_of,
 )
-from greenheights.enumeration import associative_tables, brute_force_tables
+from greenheights.enumeration import associative_tables
 from greenheights.green import below_masks
 
-from helpers import census, sampled_zero_semigroups
+from helpers import brute_force_tables, census, sampled_zero_semigroups
 
 
 def _verdict(label, ok):

@@ -315,3 +315,40 @@ def test_bad_ideal_seeds_and_repeated_trailing_lines_exit_two(
 ):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     assert run(capsys, *argv) == (2, "", err)
+
+
+@pytest.mark.parametrize("flag", ["--report", "--csv", "--triples-log"])
+def test_verify_checks_its_output_paths_before_the_sweep(
+    capsys, tmp_path, monkeypatch, flag
+):
+    def must_not_run(config):
+        raise AssertionError("the census ran before the output path was checked")
+
+    monkeypatch.setattr(verify_module, "enumerate_semigroups", must_not_run)
+    path = tmp_path / "missing" / "out"
+    code, out, err = run(capsys, "verify", "--enumerate-order", "2", flag, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_a_failed_verify_leaves_existing_outputs_unchanged(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.json").write_bytes(b"an earlier report\n")
+    argv = ["verify", "fixture:fig1_s", "nonexist.mtab", "--report", "r.json", "--csv", "r.csv"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "nonexist.mtab" in err
+    assert (tmp_path / "r.json").read_bytes() == b"an earlier report\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_warnings_print_as_one_line(capsys):
+    code, out, err = run(capsys, "analyze", "asym:1")
+    assert code == 0
+    assert json.loads(out)["H_L"] == 1
+    assert err == (
+        "warning: asym_family(1) is degenerate (formulas give height 0); "
+        "returning the trivial semigroup\n"
+    )

@@ -13,13 +13,17 @@ from greenheights import (
 )
 from greenheights.enumeration import (
     associative_tables,
-    brute_force_tables,
     canonical_table,
     closure,
     compose,
 )
 
-from helpers import brute_force_canonical_table, census_tables, order_five_prefix
+from helpers import (
+    brute_force_canonical_table,
+    brute_force_tables,
+    census_tables,
+    order_five_prefix,
+)
 
 
 def test_backtracking_equals_the_filter_oracle_table_for_table():

@@ -24,7 +24,7 @@ from greenheights import (
 )
 from greenheights.green import below_masks
 from greenheights.recipes import build_from_string
-from greenheights.structure import left_socle
+from greenheights.structure import left_socle, minimal_ideal
 
 from helpers import (
     brute_force_chain,
@@ -34,6 +34,7 @@ from helpers import (
     left_zero,
     naive_class_order,
     naive_d_partition,
+    naive_height_within_ideal,
     naive_leq,
     naive_leq_matrix,
     order_five_and_six_samples,
@@ -365,7 +366,21 @@ def test_class_order_depths_and_hasse_diagram_match_the_pairwise_oracle():
     for s in inputs + named + [u_of(s) for s in named]:
         for relation in ("L", "R", "J", "H"):
             g = k_classes(s, relation)
-            assert (g.classes, g.below, g.dag, g.depth) == naive_class_order(s, relation)
+            assert (g.classes, g.below, g.dag, g.height) == naive_class_order(s, relation)
+
+
+def test_ideal_heights_match_the_per_call_longest_path_oracle():
+    # the minimal ideal, the left socle and one principal ideal per J-class
+    for s in differential_inputs():
+        ideals = [minimal_ideal(s)]
+        if s.zero is not None:
+            ideals.append(left_socle(s))
+        ideals.extend(ideal_closure(s, [members[0]]) for members in k_classes(s, "J").classes)
+        for relation in ("L", "R", "J", "H"):
+            for ideal in ideals:
+                assert height_within_ideal(s, ideal, relation) == (
+                    naive_height_within_ideal(s, ideal, relation)
+                )
 
 
 def test_d_classes_match_the_union_find_oracle():
@@ -376,7 +391,7 @@ def test_d_classes_match_the_union_find_oracle():
 
 def test_d_classes_carry_no_order():
     g = k_classes(fixture("fig2_u2"), "D")
-    assert g.below is None and g.dag is None and g.depth is None
+    assert g.below is None and g.dag is None and g.height is None
 
 
 def _dot_from_oracle(s, relation):
