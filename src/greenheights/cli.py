@@ -1,8 +1,9 @@
 """Command-line front end: analyze tables, build constructions, stream the
 census, run the claim sweep, and export Hasse diagrams.
 
-Exit codes: 0 success, 1 sweep found violations, 2 malformed input,
-3 internal cross-check failure or any other unexpected internal error.
+Exit codes: 0 success, 1 sweep found violations, 2 malformed input or a
+closed output pipe, 3 internal cross-check failure or any other unexpected
+internal error.
 """
 
 from __future__ import annotations
@@ -199,22 +200,47 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_output():
+    """Point stdout and stderr at os.devnull once a reader has closed the pipe,
+    so that the flush at shutdown cannot fail on it again (see "Note on SIGPIPE"
+    in the documentation of Python's signal module)."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                os.dup2(devnull, stream.fileno())
+            except (OSError, ValueError):  # no open descriptor behind the stream
+                pass
+    finally:
+        os.close(devnull)
+
+
+def _fail(code: int, message: str) -> int:
+    try:
+        print(message, file=sys.stderr)
+    except BrokenPipeError:  # nobody reads stderr any more; the code still tells
+        _discard_output()
+    return code
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            return args.func(args)
-    except InternalCheckError as exc:
-        print(f"internal cross-check failure: {exc}", file=sys.stderr)
-        return 3
-    except (SemigroupError, OSError, ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            code = args.func(args)
+            sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+            return code
+    except BrokenPipeError:  # the reader closed the pipe: nothing more to say
+        _discard_output()
         return 2
+    except InternalCheckError as exc:
+        return _fail(3, f"internal cross-check failure: {exc}")
+    except (SemigroupError, OSError, ValueError, IndexError) as exc:
+        return _fail(2, f"error: {exc}")
     except Exception as exc:  # a bug, not bad input: never the "violations" code 1
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return _fail(3, f"internal error: {type(exc).__name__}: {exc}")
 
 
 def entry() -> None:

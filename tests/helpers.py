@@ -12,6 +12,7 @@ from greenheights.structure import left_socle, minimal_ideal
 from greenheights.verify import PRINCIPAL_IDEAL_LIMIT
 from greenheights.enumeration import (
     associative_tables,
+    canonical_table,
     closure,
     compose,
     random_transformation_subsemigroup,
@@ -32,6 +33,15 @@ def census(order):
 def order_five_prefix(count):
     """The first ``count`` order-5 tables of the (lexicographic) census."""
     return tuple(itertools.islice(associative_tables(5), count))
+
+
+def canonical_census(order, fold_anti_isomorphs=False):
+    """Oracle for the pruned search up to isomorphism: the labeled census,
+    in order, kept where a table is its own ``canonical_table``."""
+    return (
+        t for t in associative_tables(order)
+        if canonical_table(t, fold_anti_isomorphs) == t
+    )
 
 
 def brute_force_tables(order):

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -352,3 +356,66 @@ def test_warnings_print_as_one_line(capsys):
         "warning: asym_family(1) is degenerate (formulas give height 0); "
         "returning the trivial semigroup\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, count", [((), "1915"), (("--fold-anti",), "1160")], ids=["iso", "fold-anti"]
+)
+def test_enumerate_counts_the_order_five_classes(capsys, argv, count):
+    assert run(capsys, "enumerate", "--order", "5", "--up-to-iso", "--count", *argv) == (
+        0, count + "\n", ""
+    )
+
+
+class _ClosedPipe(io.TextIOBase):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("enumerate", "--order", "3"), ("analyze", "nonexistent.mtab")],
+    ids=["output", "error-message"],
+)
+def test_a_closed_pipe_exits_two_in_process(monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    monkeypatch.setattr("sys.stderr", _ClosedPipe())
+    assert main(list(argv)) == 2
+
+
+_PIPE, _MERGED = subprocess.PIPE, subprocess.STDOUT
+
+
+@pytest.mark.parametrize(
+    "argv, lines_read, stderr",
+    [
+        (("enumerate", "--order", "4"), 1, _PIPE),
+        (("enumerate", "--order", "4"), 1, _MERGED),
+        (("enumerate", "--order", "2"), 0, _PIPE),
+        (("enumerate", "--order", "2"), 0, _MERGED),
+        (("analyze", "{missing}"), 0, _MERGED),
+    ],
+    ids=[
+        "mid-stream-stdout",
+        "mid-stream-stdout-and-stderr",
+        "at-exit-stdout",
+        "at-exit-stdout-and-stderr",
+        "error-message",
+    ],
+)
+def test_a_closed_pipe_exits_two_without_a_traceback(tmp_path, argv, lines_read, stderr):
+    # buffered, as an installed script runs: a failed flush at shutdown
+    # would add "Exception ignored" and exit 120
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = [a.format(missing=tmp_path / "missing.mtab") for a in argv]
+    command = [sys.executable, "-m", "greenheights.cli", *argv]
+    with subprocess.Popen(command, stdout=_PIPE, stderr=stderr, env=env) as proc:
+        for _ in range(lines_read):
+            assert proc.stdout.readline() == b"4\n"
+        proc.stdout.close()
+        err = proc.stderr.read() if proc.stderr else b""
+        assert proc.wait(timeout=60) == 2
+    assert err == b""

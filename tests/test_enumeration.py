@@ -2,8 +2,11 @@ import itertools
 
 import pytest
 
+import greenheights.enumeration as enumeration_module
+
 from greenheights import (
     EnumerationConfig,
+    InternalCheckError,
     RangeError,
     build_semigroup,
     enumerate_semigroups,
@@ -21,6 +24,7 @@ from greenheights.enumeration import (
 from helpers import (
     brute_force_canonical_table,
     brute_force_tables,
+    canonical_census,
     census_tables,
     order_five_prefix,
 )
@@ -78,6 +82,39 @@ def test_iso_filter_agrees_with_filter_after_generate():
         assert got == expected
 
 
+def _classes(order, fold, limit=None):
+    config = EnumerationConfig(
+        order=order, up_to_isomorphism=True, include_anti_isomorphs=not fold, limit=limit
+    )
+    return [s.table for s in enumerate_semigroups(config)]
+
+
+@pytest.mark.parametrize("fold", [False, True])
+def test_pruned_search_equals_the_canonical_filter_oracle(fold):
+    for order in (1, 2, 3, 4):
+        assert _classes(order, fold) == list(canonical_census(order, fold))
+
+
+@pytest.mark.parametrize("fold", [False, True])
+def test_pruned_search_equals_the_oracle_on_the_first_order_five_classes(fold):
+    expected = list(itertools.islice(canonical_census(5, fold), 300))
+    assert _classes(5, fold, limit=300) == expected
+
+
+@pytest.mark.parametrize("fold", [False, True])
+def test_first_order_six_classes_are_canonical_and_increasing(fold):
+    tables = _classes(6, fold, limit=200)
+    assert len(tables) == 200
+    assert all(a < b for a, b in zip(tables, tables[1:]))
+    assert all(canonical_table(t, fold) == t for t in tables)
+
+
+def test_a_non_canonical_table_from_the_search_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(enumeration_module, "canonical_table", lambda table, fold: ())
+    with pytest.raises(InternalCheckError):
+        _classes(3, False)
+
+
 def test_representatives_are_canonical_and_sorted():
     config = EnumerationConfig(order=3, up_to_isomorphism=True)
     tables = [s.table for s in enumerate_semigroups(config)]
@@ -102,6 +139,14 @@ def test_config_rejects_large_orders():
         EnumerationConfig(order=6)
     with pytest.raises(RangeError):
         EnumerationConfig(order=0)
+
+
+def test_config_takes_order_six_only_up_to_isomorphism():
+    EnumerationConfig(order=6, up_to_isomorphism=True)
+    EnumerationConfig(order=6, up_to_isomorphism=True, include_anti_isomorphs=False)
+    for config in ({"order": 6}, {"order": 7, "up_to_isomorphism": True}):
+        with pytest.raises(RangeError, match="order 6 only up to isomorphism"):
+            EnumerationConfig(**config)
 
 
 def test_config_rejects_folding_anti_isomorphs_without_isomorphism():
