@@ -12,8 +12,10 @@ import argparse
 import csv
 import json
 import os
+import stat
 import sys
 import warnings
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from .core import format_mtab
@@ -23,10 +25,12 @@ from .green import ORDERED_RELATIONS, to_dot
 from .recipes import load_input
 from .verify import (
     CLAIM_IDS,
+    CSV_HEADER,
     SCHEMA,
+    SweepSummary,
     analyze,
+    record_csv_rows,
     report_payload,
-    summary_csv_rows,
     sweep,
 )
 
@@ -38,14 +42,91 @@ def _write_or_print(payload: str, output: str | None):
         Path(output).write_text(payload, encoding="utf-8")
 
 
-def _check_writable(paths):
-    """Open each output path for appending, so that a bad path fails before a
-    long sweep; an existing file keeps its bytes and a new one is removed."""
-    for path in paths:
-        existed = os.path.exists(path)
-        open(path, "a", encoding="utf-8").close()
-        if not existed:
-            os.remove(path)
+def _check_writable(path):
+    """Open ``path`` for appending, so that a bad path fails before a long
+    sweep; an existing file keeps its bytes and a new one is removed."""
+    existed = os.path.exists(path)
+    open(path, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(path)
+
+
+def _reject_shared_paths(outputs: dict):
+    """Two outputs written to one file would overwrite or interleave each other."""
+    seen = {}
+    for flag, path in outputs.items():
+        if path is None:
+            continue
+        other = seen.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise RangeError(f"{other} and {flag} name the same file: {path}")
+
+
+def _create_beside(target: str):
+    """A new file in ``target``'s directory, open for writing, with the
+    permissions ``open(target, "w")`` leaves: those of ``target`` if it
+    exists, else 0o666 less the umask. Returns its path and descriptor."""
+    directory, name = os.path.split(target)
+    while True:
+        temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+        try:
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+        if os.path.exists(target):
+            os.fchmod(fd, stat.S_IMODE(os.stat(target).st_mode))
+        return temp, fd
+
+
+@contextmanager
+def _output_file(path: str, newline=None):
+    """A text handle for the output ``path``. Unless ``path`` exists and is
+    not a regular file (``/dev/stdout``, a FIFO), which is written in place,
+    the handle writes a new file beside it that replaces it only when the
+    block ends without an exception; otherwise that file is removed."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline=newline) as handle:
+            yield handle
+        return
+    _check_writable(path)
+    target = os.path.realpath(path)  # a symbolic link stays and its target is replaced
+    temp, fd = _create_beside(target)
+    try:
+        with open(fd, "w", encoding="utf-8", newline=newline) as handle:
+            yield handle
+        os.replace(temp, target)
+    except BaseException:  # Ctrl-C included: leave no partial file behind
+        os.remove(temp)
+        raise
+
+
+def _report_around(summary: SweepSummary) -> tuple[str, str]:
+    """``report_payload(summary)`` as ``verify --report`` writes it, cut into
+    the text before and after its (empty) list of input records."""
+    text = json.dumps(report_payload(summary), indent=2) + "\n"
+    head, tail = text.split('"inputs": []', 1)
+    return head + '"inputs": [', "]" + tail
+
+
+class _StreamedReport:
+    """Writes ``json.dumps(report_payload(summary), indent=2)`` and a newline
+    one input record at a time: each record is indented to its depth in the
+    document (JSON strings hold no raw newline), and the text around the
+    records is cut from report_payload's own rendering."""
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.encode = json.JSONEncoder(indent=2).encode
+        self.separator = "\n    "
+        handle.write(_report_around(SweepSummary(0, {}, [], [], []))[0])
+
+    def add(self, record: dict):
+        self.handle.write(self.separator + self.encode(record).replace("\n", "\n    "))
+        self.separator = ",\n    "
+
+    def finish(self, summary: SweepSummary):
+        closing = "" if self.separator == "\n    " else "\n  "
+        self.handle.write(closing + _report_around(summary)[1])
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None):
@@ -99,9 +180,34 @@ def _cmd_verify(args) -> int:
     if not inputs:
         print("nothing to verify: pass recipes or --enumerate-order", file=sys.stderr)
         return 2
-    _check_writable(p for p in (args.report, args.csv, args.triples_log) if p is not None)
-    summary = sweep(inputs, jobs=args.jobs)
+    _reject_shared_paths(
+        {"--report": args.report, "--csv": args.csv, "--triples-log": args.triples_log}
+    )
+    with ExitStack() as outputs:
+        report = table = triples_log = None
+        if args.report is not None:
+            report = _StreamedReport(outputs.enter_context(_output_file(args.report)))
+        if args.csv is not None:
+            table = csv.writer(outputs.enter_context(_output_file(args.csv, newline="")))
+            table.writerow(CSV_HEADER)
+        if args.triples_log is not None:
+            triples_log = outputs.enter_context(_output_file(args.triples_log))
 
+        def write_record(record):
+            if report is not None:
+                report.add(record)
+            if table is not None:
+                table.writerows(record_csv_rows(record))
+
+        summary = sweep(inputs, jobs=args.jobs, on_record=write_record)
+        if report is not None:
+            report.finish(summary)
+        if triples_log is not None:
+            lines = (" ".join(str(v) for v in triple) for triple in summary.attained_triples)
+            triples_log.write("\n".join(lines) + "\n")
+
+    # the outputs are complete before anything is printed: a reader that
+    # closes stdout early cannot cost them
     print(f"inputs: {summary.inputs}")
     print(f"claims per input: {len(CLAIM_IDS)}")
     print(f"claim evaluations: {summary.total_evaluations}")
@@ -110,21 +216,6 @@ def _cmd_verify(args) -> int:
     print(f"violations: {len(summary.violations)}")
     for violation in summary.violations:
         print(f"  {violation.claim_id} on {violation.provenance}")
-
-    if args.report is not None:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(report_payload(summary), handle, indent=2)
-            handle.write("\n")
-    if args.csv is not None:
-        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerows(summary_csv_rows(summary))
-    if args.triples_log is not None:
-        lines = [
-            " ".join(str(v) for v in triple)
-            for triple in summary.attained_triples
-        ]
-        Path(args.triples_log).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 1 if summary.violations else 0
 
 

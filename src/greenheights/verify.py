@@ -12,10 +12,12 @@ instead of producing a violation, because they can only mean a bug here.
 from __future__ import annotations
 
 import copy
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .constructions import rees_quotient, u_of
 from .core import FiniteSemigroup, Ideal, format_mtab
@@ -548,7 +550,7 @@ class SweepSummary:
     claim_stats: dict[str, tuple[int, int]]  # claim_id -> (applicable, held)
     violations: list[Violation]
     attained_triples: list[tuple[int, int, int]]
-    records: list[dict]
+    records: list[dict]  # in input order; empty when sweep was given on_record
 
     @property
     def total_evaluations(self) -> int:
@@ -620,39 +622,76 @@ def _as_inputs(source):
             yield provenance, s
 
 
-def sweep(source, jobs: int = 1) -> SweepSummary:
+# With workers, inputs travel in chunks of CHUNK, and at most WINDOW_PER_JOB
+# chunks per worker are submitted and not yet consumed: enough to keep the
+# workers busy while this process aggregates, and no more held in memory.
+CHUNK = 16
+WINDOW_PER_JOB = 4
+
+
+def _evaluate_chunk(pairs):
+    return [_evaluate(pair) for pair in pairs]
+
+
+def _outcomes(inputs, jobs: int):
+    """The outcome of each input, in input order, from this process or from
+    a pool that is never more than ``WINDOW_PER_JOB * jobs`` chunks ahead."""
+    if jobs == 1:
+        yield from map(_evaluate, inputs)
+        return
+    chunks = iter(lambda: list(islice(inputs, CHUNK)), [])
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        pending = deque()
+        try:
+            for chunk in chunks:
+                pending.append(pool.submit(_evaluate_chunk, chunk))
+                if len(pending) == WINDOW_PER_JOB * jobs:
+                    yield from pending.popleft().result()
+            while pending:
+                yield from pending.popleft().result()
+        except BaseException:  # an error, an interrupt or a consumer that stopped
+            for future in pending:
+                future.cancel()
+            raise
+
+
+def sweep(source, jobs: int = 1, on_record=None) -> SweepSummary:
     """Run analyze + check_claims over a batch of inputs.
 
     ``source`` is an EnumerationConfig or a list whose items are
     EnumerationConfigs, input strings (recipes, mtab paths or '-' for stdin) or
-    (provenance, semigroup) pairs. Every input is built before any is
-    evaluated; errors propagate with the offending provenance attached.
+    (provenance, semigroup) pairs. Every input string is loaded before any
+    config is enumerated; the inputs themselves are generated, evaluated and
+    aggregated one at a time, in this process (``jobs=1``) or in a pool of
+    ``jobs`` worker processes. Errors propagate with the offending provenance
+    attached.
+
+    Each input's record is kept in ``SweepSummary.records``, or, with
+    ``on_record``, handed to it in input order and not kept, so that memory
+    does not grow with the number of inputs.
     """
     if jobs < 1:
         raise RangeError(f"jobs must be at least 1, got {jobs}")
-    pairs = list(_as_inputs(source))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_evaluate, pairs, chunksize=16))
-    else:
-        outcomes = map(_evaluate, pairs)
-
+    records: list[dict] = []
+    keep = records.append if on_record is None else on_record
+    inputs = 0
     stats = {claim_id: [0, 0] for claim_id in CLAIM_IDS}
     violations: list[Violation] = []
     triples = set()
-    records = []
-    for record, viols, triple in outcomes:
-        records.append(record)
-        violations.extend(viols)
-        triples.add(triple)
-        for claim in record["claims"]:
-            if claim["applicable"]:
-                stats[claim["claim_id"]][0] += 1
-                if claim["holds"]:
-                    stats[claim["claim_id"]][1] += 1
+    with closing(_outcomes(_as_inputs(source), jobs)) as outcomes:
+        for record, viols, triple in outcomes:
+            inputs += 1
+            keep(record)
+            violations.extend(viols)
+            triples.add(triple)
+            for claim in record["claims"]:
+                if claim["applicable"]:
+                    stats[claim["claim_id"]][0] += 1
+                    if claim["holds"]:
+                        stats[claim["claim_id"]][1] += 1
     violations.sort(key=lambda v: (v.provenance, v.claim_id))
     return SweepSummary(
-        inputs=len(records),
+        inputs=inputs,
         claim_stats={k: (a, h) for k, (a, h) in stats.items()},
         violations=violations,
         attained_triples=sorted(triples),
@@ -677,17 +716,25 @@ def report_payload(summary: SweepSummary) -> dict:
     }
 
 
+CSV_HEADER = ("provenance", "order", "claim_id", "applicable", "holds")
+
+
+def record_csv_rows(record: dict):
+    """The summary CSV's rows for one input record, one per claim."""
+    provenance = record["input"]["provenance"]
+    order = record["input"]["order"]
+    for claim in record["claims"]:
+        yield (
+            provenance,
+            order,
+            claim["claim_id"],
+            claim["applicable"],
+            claim["holds"],
+        )
+
+
 def summary_csv_rows(summary: SweepSummary):
-    """One row per (input, claim) for the summary CSV."""
-    yield ("provenance", "order", "claim_id", "applicable", "holds")
+    """One row per (input, claim) for the summary CSV, after its header."""
+    yield CSV_HEADER
     for record in summary.records:
-        provenance = record["input"]["provenance"]
-        order = record["input"]["order"]
-        for claim in record["claims"]:
-            yield (
-                provenance,
-                order,
-                claim["claim_id"],
-                claim["applicable"],
-                claim["holds"],
-            )
+        yield from record_csv_rows(record)

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 from greenheights import analyze, fixture, format_mtab, parse_mtab, sweep
 from greenheights.cli import main
 from greenheights.errors import InternalCheckError, ParseError
-from greenheights.verify import report_payload
+from greenheights.verify import report_payload, summary_csv_rows
 import greenheights.cli as cli_module
 import greenheights.verify as verify_module
 
@@ -419,3 +420,152 @@ def test_a_closed_pipe_exits_two_without_a_traceback(tmp_path, argv, lines_read,
         err = proc.stderr.read() if proc.stderr else b""
         assert proc.wait(timeout=60) == 2
     assert err == b""
+
+
+def _expected_outputs(summary):
+    """The report and CSV text of a summary, by the whole-summary forms."""
+    rows = io.StringIO(newline="")
+    csv.writer(rows).writerows(summary_csv_rows(summary))
+    return json.dumps(report_payload(summary), indent=2) + "\n", rows.getvalue()
+
+
+def _fail_with_chains(c):
+    return False, (verify_module._chain(c.s, "L"), verify_module._chain(c.s, "R"))
+
+
+def _fail_when_left_height_is_two(c):
+    return (False, (verify_module._chain(c.s, "L"),)) if c.h["L"] == 2 else (True, None)
+
+
+@pytest.mark.parametrize(
+    "source, jobs, evaluator",
+    [
+        ("census", 1, None),
+        ("census", 2, None),
+        ("names", 1, _fail_with_chains),
+        ("census", 1, _fail_when_left_height_is_two),
+    ],
+    ids=["census-jobs1", "census-jobs2", "quotes-backslashes-non-ascii", "violations"],
+)
+def test_streamed_report_and_csv_equal_the_whole_summary_forms(
+    capsys, tmp_path, monkeypatch, source, jobs, evaluator
+):
+    from greenheights import EnumerationConfig
+
+    if evaluator is not None:
+        monkeypatch.setitem(verify_module._EVALUATORS, "thm6.1", evaluator)
+    if source == "census":
+        argv, inputs = ["--enumerate-order", "3"], EnumerationConfig(order=3)
+    else:
+        mtab = tmp_path / 'tab "é\\ł.mtab'
+        mtab.write_text('3\n0 1 2\n2 2 2\n2 2 2\nnames: "e\\ ä\\"z ℤ"\n', encoding="utf-8")
+        argv, inputs = [str(mtab)], [str(mtab)]
+    report, rows = tmp_path / "r.json", tmp_path / "r.csv"
+    code, _, _ = run(
+        capsys, "verify", *argv, "--jobs", str(jobs), "--report", str(report), "--csv", str(rows)
+    )
+    summary = sweep(inputs)
+    assert code == (1 if summary.violations else 0)
+    if evaluator is not None:
+        assert summary.violations and any(
+            c["witness"] for r in summary.records for c in r["claims"]
+        )
+    expected_report, expected_rows = _expected_outputs(summary)
+    assert report.read_text(encoding="utf-8") == expected_report
+    assert rows.read_bytes().decode("utf-8") == expected_rows
+
+
+def test_a_closed_stdout_does_not_cost_the_finished_outputs(tmp_path, monkeypatch):
+    from greenheights import EnumerationConfig
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    monkeypatch.setattr("sys.stderr", _ClosedPipe())
+    argv = ["verify", "--enumerate-order", "3", "--report", "r.json", "--csv", "r.csv",
+            "--triples-log", "t.txt"]
+    assert main(argv) == 2
+    summary = sweep(EnumerationConfig(order=3))
+    expected_report, expected_rows = _expected_outputs(summary)
+    assert (tmp_path / "r.json").read_text(encoding="utf-8") == expected_report
+    assert (tmp_path / "r.csv").read_bytes().decode("utf-8") == expected_rows
+    triples = "".join(" ".join(map(str, t)) + "\n" for t in summary.attained_triples)
+    assert (tmp_path / "t.txt").read_text(encoding="utf-8") == triples
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("--report", "--csv"), ("--report", "--triples-log"), ("--csv", "--triples-log")],
+)
+def test_two_outputs_naming_one_file_are_rejected_before_the_sweep(
+    capsys, tmp_path, monkeypatch, first, second
+):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the sweep ran with two outputs on one file")
+
+    monkeypatch.setattr(cli_module, "sweep", must_not_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    code, out, err = run(capsys, "verify", "fixture:fig1_s", first, "x", second, "d/../x")
+    assert (code, out) == (2, "")
+    assert err == f"error: {first} and {second} name the same file: d/../x\n"
+    assert sorted(os.listdir(tmp_path)) == ["d"]
+
+
+@pytest.mark.parametrize(
+    "error, code", [(RuntimeError("induced"), 3), (KeyboardInterrupt(), None)],
+    ids=["error", "interrupt"],
+)
+def test_a_sweep_stopped_midway_leaves_existing_outputs_unchanged(
+    capsys, tmp_path, monkeypatch, error, code
+):
+    calls = []
+
+    def fails_on_the_fifth_input(c):
+        calls.append(c)
+        if len(calls) == 5:
+            raise error
+        return True, None
+
+    monkeypatch.setitem(verify_module._EVALUATORS, "thm6.5", fails_on_the_fifth_input)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.json").write_bytes(b"an earlier report\n")
+    (tmp_path / "r.csv").write_bytes(b"earlier,rows\r\n")
+    argv = ["verify", "--enumerate-order", "3", "--report", "r.json", "--csv", "r.csv",
+            "--triples-log", "t.txt"]
+    if code is None:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert run(capsys, *argv)[0] == code
+    assert len(calls) == 5
+    assert (tmp_path / "r.json").read_bytes() == b"an earlier report\n"
+    assert (tmp_path / "r.csv").read_bytes() == b"earlier,rows\r\n"
+    assert sorted(os.listdir(tmp_path)) == ["r.csv", "r.json"]
+
+
+def test_outputs_get_the_permissions_a_plain_open_gives(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.csv").write_bytes(b"earlier\n")
+    os.chmod(tmp_path / "r.csv", 0o604)
+    umask = os.umask(0o022)
+    try:
+        code, _, _ = run(
+            capsys, "verify", "fixture:fig1_s", "--report", "r.json", "--csv", "r.csv"
+        )
+    finally:
+        os.umask(umask)
+    assert code == 0
+    assert (tmp_path / "r.json").stat().st_mode & 0o777 == 0o644  # new: 0o666 less the umask
+    assert (tmp_path / "r.csv").stat().st_mode & 0o777 == 0o604  # existing: kept
+    assert (tmp_path / "r.csv").read_bytes().startswith(b"provenance,")
+
+
+def test_a_report_to_dev_stdout_is_printed_before_the_summary():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    command = [sys.executable, "-m", "greenheights.cli", "verify", "fixture:fig1_s",
+               "--report", "/dev/stdout"]
+    done = subprocess.run(command, stdout=subprocess.PIPE, env=env, timeout=60, check=True)
+    report = json.dumps(report_payload(sweep(["fixture:fig1_s"])), indent=2) + "\n"
+    assert done.stdout.decode("utf-8").startswith(report + "inputs: 1\n")

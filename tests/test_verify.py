@@ -422,3 +422,76 @@ def test_sweep_loads_every_input_string_before_enumerating(monkeypatch, tmp_path
     with pytest.raises(FileNotFoundError) as info:
         sweep([EnumerationConfig(order=4), missing])
     assert str(info.value).startswith(f"{missing}: ")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_hands_each_record_to_on_record_and_keeps_none(jobs):
+    source = [EnumerationConfig(order=3), "asym:2", ("pair", fixture("fig1_s"))]
+    kept = sweep(source, jobs=jobs)
+    handed = []
+    streamed = sweep(source, jobs=jobs, on_record=handed.append)
+    assert streamed.records == []
+    assert handed == kept.records and len(handed) == 115
+    assert dataclasses.replace(streamed, records=kept.records) == kept
+
+
+def _counted_census(monkeypatch, inputs, pulled):
+    """Replace the census generator by ``inputs``, counting how many were taken."""
+
+    def census_of(config):
+        for s in inputs:
+            pulled.append(s)
+            yield s
+
+    monkeypatch.setattr(verify_module, "enumerate_semigroups", census_of)
+
+
+def test_sweep_with_workers_stays_within_its_window(monkeypatch):
+    jobs, pulled, ahead = 2, [], []
+    _counted_census(monkeypatch, [build_semigroup([[0]])] * 400, pulled)
+
+    def on_record(record):
+        # the inputs taken but not yet handed over: every chunk in flight, and
+        # the rest of the chunk this record came from
+        ahead.append(len(pulled) - len(ahead))
+
+    summary = sweep(EnumerationConfig(order=1), jobs=jobs, on_record=on_record)
+    assert summary.inputs == len(ahead) == len(pulled) == 400
+    window = verify_module.WINDOW_PER_JOB * jobs * verify_module.CHUNK
+    assert max(ahead) <= window
+    assert ahead[0] == window  # the window fills before the first result is consumed
+
+
+def test_an_error_in_on_record_stops_the_workers(monkeypatch):
+    pulled, handed = [], []
+    _counted_census(monkeypatch, [build_semigroup([[0]])] * 400, pulled)
+
+    def disk_full_at_the_third(record):
+        handed.append(record)
+        if len(handed) == 3:
+            raise OSError("no space left")
+
+    with pytest.raises(OSError, match="no space left"):
+        sweep(EnumerationConfig(order=1), jobs=2, on_record=disk_full_at_the_third)
+    assert len(handed) == 3 and len(pulled) < 400
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers must inherit the patched evaluator",
+)
+def test_an_error_in_a_worker_stops_the_sweep_and_names_the_input(monkeypatch):
+    pulled = []
+    trivial, other = build_semigroup([[0]]), build_semigroup([[0, 0], [0, 0]])
+    _counted_census(monkeypatch, [trivial] * 20 + [other] + [trivial] * 379, pulled)
+
+    def fails_on_order_two(c):
+        if c.s.order == 2:
+            raise RuntimeError("induced")
+        return True, None
+
+    monkeypatch.setitem(verify_module._EVALUATORS, "thm6.5", fails_on_order_two)
+    with pytest.raises(RuntimeError) as info:
+        sweep(EnumerationConfig(order=1), jobs=2, on_record=lambda record: None)
+    assert str(info.value) == "enum:order=1:index=20: induced"
+    assert len(pulled) < 400
