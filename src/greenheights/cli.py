@@ -78,12 +78,24 @@ def _create_beside(target: str):
         return temp, fd
 
 
+def _is_stdout(path: str) -> bool:
+    """Whether ``path`` is the file behind stdout, as ``/dev/stdout`` is."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # no such path, or no descriptor behind stdout
+        return False
+
+
 @contextmanager
 def _output_file(path: str, newline=None):
-    """A text handle for the output ``path``. Unless ``path`` exists and is
-    not a regular file (``/dev/stdout``, a FIFO), which is written in place,
-    the handle writes a new file beside it that replaces it only when the
-    block ends without an exception; otherwise that file is removed."""
+    """A text handle for the output ``path``. The file behind stdout is
+    written through ``sys.stdout``, so that what is printed later follows it,
+    and any other existing path that is not a regular file (a FIFO) in place.
+    Else the handle writes a new file beside ``path`` that replaces it when
+    the block ends without an exception and is removed when it raises."""
+    if _is_stdout(path):
+        yield sys.stdout
+        return
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8", newline=newline) as handle:
             yield handle

@@ -65,38 +65,17 @@ def u_of(s: FiniteSemigroup) -> FiniteSemigroup:
     """
     if s.zero is None:
         raise NoZeroError("the null ideal extension needs a zero element")
-    z = s.zero
     n = s.order
-    total = 2 * n + 1
-
-    def x(t: int) -> int:
-        return n + 1 + t
-
-    rows = [[0] * total for _ in range(total)]
-    for a in range(n):
-        row = rows[a]
-        for b in range(n):
-            row[b] = s.table[a][b]
-        row[n] = n
-        for t in range(n):
-            row[x(t)] = x(t)
-    row = rows[n]
-    for b in range(n):
-        row[b] = x(b)
-    row[n] = x(z)
-    for t in range(n):
-        row[x(t)] = x(z)
-    for t in range(n):
-        row = rows[x(t)]
-        for b in range(n):
-            row[b] = x(s.table[t][b])
-        row[n] = x(z)
-        for u in range(n):
-            row[x(u)] = x(z)
+    x_z = n + 1 + s.zero
+    fresh = list(range(n + 1, 2 * n + 1))
+    tail = [x_z] * (n + 1)
+    rows = [list(row) + [n] + fresh for row in s.table]
+    rows.append(fresh + tail)
+    rows.extend([n + 1 + v for v in row] + tail for row in s.table)
     base = s.element_names()
     names = unique_names(list(base) + ["x_1"] + [f"x_{b}" for b in base])
     out = build_semigroup(rows, names)
-    if out.zero != x(z):
+    if out.zero != x_z:
         raise InternalCheckError("the extension did not put its zero at x_z")
     return out
 

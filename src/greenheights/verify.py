@@ -12,6 +12,7 @@ instead of producing a violation, because they can only mean a bug here.
 from __future__ import annotations
 
 import copy
+import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing, contextmanager
@@ -78,44 +79,6 @@ class Violation:
     claim_id: str
     semigroup: str  # mtab v1 serialisation
     provenance: str
-
-
-CLAIM_STATEMENTS = {
-    "lem2.1": "the minimal two-sided class equals the union of the minimal "
-              "left classes and the union of the minimal right classes",
-    "lem2.2": "the minimal ideal is completely simple and is the union of the "
-              "minimal H-classes",
-    "lem3.4": "with n = H_H, every element satisfies a^n H a^(2n)",
-    "prop3.5.3": "H_H <= min(H_L, H_R) and max(H_L, H_R) <= H_J",
-    "prop4.1": "H_L = 1 iff H_J = 1 with left stability, and dually for H_R",
-    "prop4.2": "H_L = 1, H_R = 1, H_H = 1 and H_J = 1 are all equivalent",
-    "prop4.3": "a side height of 2 forces H_J into {2, 3}",
-    "prop4.4": "H_L = 2 forces H_H = 2 and H_R = H_J in {2, 3}",
-    "prop5.2.1": "no height grows when an ideal is collapsed to a zero",
-    "prop5.2.3": "collapsing the (completely simple) minimal ideal preserves "
-                 "H_L, H_R and H_J",
-    "star": "H_K <= H_K-within-I + H_K(quotient) - 1 for every ideal I",
-    "thm5.3.1": "collapsing the left socle lowers H_L by exactly one",
-    "thm5.3.2": "H_R <= 2*H_R(quotient by left socle) + 1",
-    "thm5.3.2-internal": "the R-height within the left socle is at most "
-                         "H_R(quotient) + 2",
-    "thm5.3.3": "H_J <= H_R(quotient) + H_J(quotient) + 1 for the left socle",
-    "lem5.5.2": "the left socle of the null ideal extension is the fresh "
-                "part plus the old zero, and the quotient is the original",
-    "prop5.6": "the null ideal extension sends H_L to H_L + 1 and H_R to "
-               "2*H_R + 1",
-    "thm6.1": "ceil(log2(H_L + 1)) <= H_R <= 2^H_L - 1",
-    "thm6.2": "H_L <= H_J <= 2^H_L - 1",
-    "thm6.5": "with both side heights >= 2, max(H_L, H_R) <= H_J <= "
-              "min(2^min - 1, H_L + H_R - 2)",
-    "lem7.2": "H_E <= min(H_L, H_R, H_H)",
-    "prop7.1": "semisimple: H_J <= min(H_L, H_R)",
-    "prop7.3": "regular: H_L = H_R = H_H = H_E >= H_J",
-    "prop7.5": "regular and stable: all five heights coincide",
-    "cor7.7": "regular: the five heights coincide exactly when stable",
-}
-
-CLAIM_IDS = tuple(CLAIM_STATEMENTS)
 
 
 def _chain(s: FiniteSemigroup, relation: str) -> str:
@@ -221,49 +184,6 @@ def _eval_lem34(c: _Context):
             name = c.s.name_of(a)
             return False, (f"{name}^{n} and {name}^{2 * n} are not H-related",)
     return True, None
-
-
-def _eval_prop353(c: _Context):
-    ok = (
-        c.h["H"] <= min(c.h["L"], c.h["R"])
-        and max(c.h["L"], c.h["R"]) <= c.h["J"]
-    )
-    if ok:
-        return True, None
-    return False, tuple(_chain(c.s, rel) for rel in ORDERED_RELATIONS)
-
-
-def _eval_prop41(c: _Context):
-    ok = ((c.h["L"] == 1) == (c.h["J"] == 1 and c.left_stable)) and (
-        (c.h["R"] == 1) == (c.h["J"] == 1 and c.right_stable)
-    )
-    if ok:
-        return True, None
-    return False, (_chain(c.s, "L"), _chain(c.s, "R"), _chain(c.s, "J"))
-
-
-def _eval_prop42(c: _Context):
-    flags = [c.h[rel] == 1 for rel in ORDERED_RELATIONS]
-    if all(flags) or not any(flags):
-        return True, None
-    return False, tuple(_chain(c.s, rel) for rel in ORDERED_RELATIONS)
-
-
-def _eval_prop43(c: _Context):
-    if c.h["L"] != 2 and c.h["R"] != 2:
-        return None
-    if c.h["J"] in (2, 3):
-        return True, None
-    return False, (_chain(c.s, "J"),)
-
-
-def _eval_prop44(c: _Context):
-    if c.h["L"] != 2:
-        return None
-    ok = c.h["H"] == 2 and c.h["R"] == c.h["J"] and c.h["J"] in (2, 3)
-    if ok:
-        return True, None
-    return False, (_chain(c.s, "H"), _chain(c.s, "R"), _chain(c.s, "J"))
 
 
 def _eval_prop521(c: _Context):
@@ -385,30 +305,6 @@ def _eval_prop56(c: _Context):
     return False, (_chain(u, "L"), _chain(u, "R"))
 
 
-def _eval_thm61(c: _Context):
-    n = c.h["L"]
-    if n.bit_length() <= c.h["R"] <= 2**n - 1:
-        return True, None
-    return False, (_chain(c.s, "L"), _chain(c.s, "R"))
-
-
-def _eval_thm62(c: _Context):
-    n = c.h["L"]
-    if n <= c.h["J"] <= 2**n - 1:
-        return True, None
-    return False, (_chain(c.s, "L"), _chain(c.s, "J"))
-
-
-def _eval_thm65(c: _Context):
-    if c.h["L"] < 2 or c.h["R"] < 2:
-        return None
-    smallest = min(c.h["L"], c.h["R"])
-    upper = min(2**smallest - 1, c.h["L"] + c.h["R"] - 2)
-    if max(c.h["L"], c.h["R"]) <= c.h["J"] <= upper:
-        return True, None
-    return False, (_chain(c.s, "L"), _chain(c.s, "R"), _chain(c.s, "J"))
-
-
 def _eval_lem72(c: _Context):
     if c.h_e <= min(c.h["L"], c.h["R"], c.h["H"]):
         return True, None
@@ -416,70 +312,102 @@ def _eval_lem72(c: _Context):
     return False, (f"idempotents {_set_names(c.s, idempotents)}",)
 
 
-def _eval_prop71(c: _Context):
-    if not c.semisimple:
-        return None
-    if c.h["J"] <= min(c.h["L"], c.h["R"]):
-        return True, None
-    return False, (_chain(c.s, "J"),)
+def _on_heights(holds, witness: str, applies=None):
+    """The evaluator of a claim on the heights and flags alone: None where
+    ``applies`` is false, else whether ``holds``, with the longest chain of
+    each relation in ``witness``, in that order, when it does not. Both
+    predicates read the context when called."""
+
+    def evaluate(c: _Context):
+        if applies is not None and not applies(c):
+            return None
+        if holds(c):
+            return True, None
+        return False, tuple(_chain(c.s, rel) for rel in witness)
+
+    return evaluate
 
 
-def _eval_prop73(c: _Context):
-    if not c.regular:
-        return None
-    ok = c.h["L"] == c.h["R"] == c.h["H"] == c.h_e and c.h_e >= c.h["J"]
-    if ok:
-        return True, None
-    return False, tuple(_chain(c.s, rel) for rel in ORDERED_RELATIONS)
+def _five_equal(c: _Context) -> bool:
+    return c.h["L"] == c.h["R"] == c.h["H"] == c.h_e == c.h["J"]
 
 
-def _eval_prop75(c: _Context):
-    if not (c.regular and c.left_stable and c.right_stable):
-        return None
-    if c.h["L"] == c.h["R"] == c.h["H"] == c.h_e == c.h["J"]:
-        return True, None
-    return False, tuple(_chain(c.s, rel) for rel in ORDERED_RELATIONS)
+def _stable(c: _Context) -> bool:
+    return c.left_stable and c.right_stable
 
 
-def _eval_cor77(c: _Context):
-    if not c.regular:
-        return None
-    equal = c.h["L"] == c.h["R"] == c.h["H"] == c.h_e == c.h["J"]
-    stable = c.left_stable and c.right_stable
-    if equal == stable:
-        return True, None
-    return False, tuple(_chain(c.s, rel) for rel in ORDERED_RELATIONS)
-
-
-_EVALUATORS = {
-    "lem2.1": _eval_lem21,
-    "lem2.2": _eval_lem22,
-    "lem3.4": _eval_lem34,
-    "prop3.5.3": _eval_prop353,
-    "prop4.1": _eval_prop41,
-    "prop4.2": _eval_prop42,
-    "prop4.3": _eval_prop43,
-    "prop4.4": _eval_prop44,
-    "prop5.2.1": _eval_prop521,
-    "prop5.2.3": _eval_prop523,
-    "star": _eval_star,
-    "thm5.3.1": _eval_thm531,
-    "thm5.3.2": _eval_thm532,
-    "thm5.3.2-internal": _eval_thm532_internal,
-    "thm5.3.3": _eval_thm533,
-    "lem5.5.2": _eval_lem552,
-    "prop5.6": _eval_prop56,
-    "thm6.1": _eval_thm61,
-    "thm6.2": _eval_thm62,
-    "thm6.5": _eval_thm65,
-    "lem7.2": _eval_lem72,
-    "prop7.1": _eval_prop71,
-    "prop7.3": _eval_prop73,
-    "prop7.5": _eval_prop75,
-    "cor7.7": _eval_cor77,
+# claim id -> (one-line statement, evaluator), in registry order
+_REGISTRY = {
+    "lem2.1": ("the minimal two-sided class equals the union of the minimal "
+               "left classes and the union of the minimal right classes",
+               _eval_lem21),
+    "lem2.2": ("the minimal ideal is completely simple and is the union of the "
+               "minimal H-classes",
+               _eval_lem22),
+    "lem3.4": ("with n = H_H, every element satisfies a^n H a^(2n)", _eval_lem34),
+    "prop3.5.3": ("H_H <= min(H_L, H_R) and max(H_L, H_R) <= H_J",
+                  _on_heights(lambda c: c.h["H"] <= min(c.h["L"], c.h["R"])
+                              and max(c.h["L"], c.h["R"]) <= c.h["J"], "LRJH")),
+    "prop4.1": ("H_L = 1 iff H_J = 1 with left stability, and dually for H_R",
+                _on_heights(lambda c: ((c.h["L"] == 1) == (c.h["J"] == 1 and c.left_stable))
+                            and ((c.h["R"] == 1) == (c.h["J"] == 1 and c.right_stable)),
+                            "LRJ")),
+    "prop4.2": ("H_L = 1, H_R = 1, H_H = 1 and H_J = 1 are all equivalent",
+                _on_heights(lambda c: len({c.h[rel] == 1 for rel in "LRJH"}) == 1, "LRJH")),
+    "prop4.3": ("a side height of 2 forces H_J into {2, 3}",
+                _on_heights(lambda c: c.h["J"] in (2, 3), "J",
+                            applies=lambda c: 2 in (c.h["L"], c.h["R"]))),
+    "prop4.4": ("H_L = 2 forces H_H = 2 and H_R = H_J in {2, 3}",
+                _on_heights(lambda c: c.h["H"] == 2 and c.h["R"] == c.h["J"]
+                            and c.h["J"] in (2, 3),
+                            "HRJ", applies=lambda c: c.h["L"] == 2)),
+    "prop5.2.1": ("no height grows when an ideal is collapsed to a zero", _eval_prop521),
+    "prop5.2.3": ("collapsing the (completely simple) minimal ideal preserves "
+                  "H_L, H_R and H_J",
+                  _eval_prop523),
+    "star": ("H_K <= H_K-within-I + H_K(quotient) - 1 for every ideal I", _eval_star),
+    "thm5.3.1": ("collapsing the left socle lowers H_L by exactly one", _eval_thm531),
+    "thm5.3.2": ("H_R <= 2*H_R(quotient by left socle) + 1", _eval_thm532),
+    "thm5.3.2-internal": ("the R-height within the left socle is at most "
+                          "H_R(quotient) + 2",
+                          _eval_thm532_internal),
+    "thm5.3.3": ("H_J <= H_R(quotient) + H_J(quotient) + 1 for the left socle",
+                 _eval_thm533),
+    "lem5.5.2": ("the left socle of the null ideal extension is the fresh "
+                 "part plus the old zero, and the quotient is the original",
+                 _eval_lem552),
+    "prop5.6": ("the null ideal extension sends H_L to H_L + 1 and H_R to "
+                "2*H_R + 1",
+                _eval_prop56),
+    "thm6.1": ("ceil(log2(H_L + 1)) <= H_R <= 2^H_L - 1",
+               _on_heights(lambda c: c.h["L"].bit_length() <= c.h["R"] <= 2 ** c.h["L"] - 1,
+                           "LR")),
+    "thm6.2": ("H_L <= H_J <= 2^H_L - 1",
+               _on_heights(lambda c: c.h["L"] <= c.h["J"] <= 2 ** c.h["L"] - 1, "LJ")),
+    "thm6.5": ("with both side heights >= 2, max(H_L, H_R) <= H_J <= "
+               "min(2^min - 1, H_L + H_R - 2)",
+               _on_heights(lambda c: max(c.h["L"], c.h["R"]) <= c.h["J"]
+                           <= min(2 ** min(c.h["L"], c.h["R"]) - 1, c.h["L"] + c.h["R"] - 2),
+                           "LRJ", applies=lambda c: min(c.h["L"], c.h["R"]) >= 2)),
+    "lem7.2": ("H_E <= min(H_L, H_R, H_H)", _eval_lem72),
+    "prop7.1": ("semisimple: H_J <= min(H_L, H_R)",
+                _on_heights(lambda c: c.h["J"] <= min(c.h["L"], c.h["R"]), "J",
+                            applies=lambda c: c.semisimple)),
+    "prop7.3": ("regular: H_L = H_R = H_H = H_E >= H_J",
+                _on_heights(lambda c: c.h["L"] == c.h["R"] == c.h["H"] == c.h_e >= c.h["J"],
+                            "LRJH", applies=lambda c: c.regular)),
+    "prop7.5": ("regular and stable: all five heights coincide",
+                _on_heights(_five_equal, "LRJH",
+                            applies=lambda c: c.regular and _stable(c))),
+    "cor7.7": ("regular: the five heights coincide exactly when stable",
+               _on_heights(lambda c: _five_equal(c) == _stable(c), "LRJH",
+                           applies=lambda c: c.regular)),
 }
 
-assert tuple(_EVALUATORS) == CLAIM_IDS
+CLAIM_STATEMENTS = {claim_id: statement for claim_id, (statement, _) in _REGISTRY.items()}
+CLAIM_IDS = tuple(_REGISTRY)
+# a dict of its own, because tests and perfbench/tracer.py replace its entries
+_EVALUATORS = {claim_id: evaluate for claim_id, (_, evaluate) in _REGISTRY.items()}
 
 
 def analyze(s: FiniteSemigroup) -> HeightReport:
@@ -633,19 +561,30 @@ def _evaluate_chunk(pairs):
     return [_evaluate(pair) for pair in pairs]
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
+
+
 def _outcomes(inputs, jobs: int):
     """The outcome of each input, in input order, from this process or from
-    a pool that is never more than ``WINDOW_PER_JOB * jobs`` chunks ahead."""
+    a pool of at most ``jobs`` workers, one per usable CPU, that is never
+    more than ``WINDOW_PER_JOB`` chunks per worker ahead."""
     if jobs == 1:
         yield from map(_evaluate, inputs)
         return
+    # with the fork start method a pool starts all its workers at the first
+    # submit, so workers beyond the usable CPUs cost processes and gain nothing
+    workers = min(jobs, _usable_cpus())
     chunks = iter(lambda: list(islice(inputs, CHUNK)), [])
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         try:
             for chunk in chunks:
                 pending.append(pool.submit(_evaluate_chunk, chunk))
-                if len(pending) == WINDOW_PER_JOB * jobs:
+                if len(pending) == WINDOW_PER_JOB * workers:
                     yield from pending.popleft().result()
             while pending:
                 yield from pending.popleft().result()
@@ -663,8 +602,8 @@ def sweep(source, jobs: int = 1, on_record=None) -> SweepSummary:
     (provenance, semigroup) pairs. Every input string is loaded before any
     config is enumerated; the inputs themselves are generated, evaluated and
     aggregated one at a time, in this process (``jobs=1``) or in a pool of
-    ``jobs`` worker processes. Errors propagate with the offending provenance
-    attached.
+    ``jobs`` worker processes, capped at the CPUs this process may use.
+    Errors propagate with the offending provenance attached.
 
     Each input's record is kept in ``SweepSummary.records``, or, with
     ``on_record``, handed to it in input order and not kept, so that memory

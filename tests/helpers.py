@@ -6,6 +6,7 @@ from functools import lru_cache
 
 from greenheights import build_semigroup, u_of
 from greenheights.core import ideal_closure, unique_names
+from greenheights.errors import InternalCheckError, NoZeroError
 from greenheights.green import _longest_paths, below_masks, iter_bits, k_classes
 from greenheights.recipes import build_from_string
 from greenheights.structure import left_socle, minimal_ideal
@@ -366,3 +367,44 @@ def naive_ideal_family(s):
     if s.order <= PRINCIPAL_IDEAL_LIMIT:
         family.update(ideal_closure(s, [a]).members for a in range(s.order))
     return sorted(family, key=lambda m: (len(m), sorted(m)))
+
+
+def naive_u_of(s):
+    """Oracle for the null ideal extension, kept from the first form of
+    u_of, which set each cell of U(S) through the index of x_t."""
+    if s.zero is None:
+        raise NoZeroError("the null ideal extension needs a zero element")
+    z = s.zero
+    n = s.order
+    total = 2 * n + 1
+
+    def x(t: int) -> int:
+        return n + 1 + t
+
+    rows = [[0] * total for _ in range(total)]
+    for a in range(n):
+        row = rows[a]
+        for b in range(n):
+            row[b] = s.table[a][b]
+        row[n] = n
+        for t in range(n):
+            row[x(t)] = x(t)
+    row = rows[n]
+    for b in range(n):
+        row[b] = x(b)
+    row[n] = x(z)
+    for t in range(n):
+        row[x(t)] = x(z)
+    for t in range(n):
+        row = rows[x(t)]
+        for b in range(n):
+            row[b] = x(s.table[t][b])
+        row[n] = x(z)
+        for u in range(n):
+            row[x(u)] = x(z)
+    base = s.element_names()
+    names = unique_names(list(base) + ["x_1"] + [f"x_{b}" for b in base])
+    out = build_semigroup(rows, names)
+    if out.zero != x(z):
+        raise InternalCheckError("the extension did not put its zero at x_z")
+    return out

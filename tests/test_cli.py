@@ -569,3 +569,19 @@ def test_a_report_to_dev_stdout_is_printed_before_the_summary():
     done = subprocess.run(command, stdout=subprocess.PIPE, env=env, timeout=60, check=True)
     report = json.dumps(report_payload(sweep(["fixture:fig1_s"])), indent=2) + "\n"
     assert done.stdout.decode("utf-8").startswith(report + "inputs: 1\n")
+
+
+@pytest.mark.parametrize("option", ["--report", "--csv"])
+def test_an_output_to_dev_stdout_redirected_to_a_file_keeps_the_summary(tmp_path, option):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    command = [sys.executable, "-m", "greenheights.cli", "verify", "fixture:fig1_s", option]
+    alone = tmp_path / "alone"
+    done = subprocess.run(command + [str(alone)], stdout=subprocess.PIPE, env=env,
+                          timeout=60, check=True)
+    out = tmp_path / "out.txt"
+    with open(out, "wb") as stdout:
+        subprocess.run(command + ["/dev/stdout"], stdout=stdout, env=env, timeout=60,
+                       check=True)
+    assert out.read_bytes() == alone.read_bytes() + done.stdout

@@ -26,9 +26,10 @@ from greenheights import (
     u_of,
 )
 
+from greenheights.constructions import FIXTURE_NAMES
 from greenheights.recipes import build_from_string
 
-from helpers import adjoin_zero, census, cyclic_group
+from helpers import adjoin_zero, census, cyclic_group, naive_u_of
 
 
 def test_rees_quotient_by_everything_is_trivial():
@@ -80,6 +81,16 @@ def test_quotient_by_completely_simple_minimal_ideal_preserves_heights():
 def test_extension_requires_a_zero():
     with pytest.raises(NoZeroError):
         u_of(cyclic_group(3))
+
+
+def test_row_built_extension_equals_the_cell_by_cell_oracle():
+    named = [fixture(name) for name in FIXTURE_NAMES]
+    named += [build_from_string(r) for r in ("sqfree:3", "asym:3", "nm:3,6")]
+    inputs = [s for order in range(1, 5) for s in census(order)] + named
+    with_zero = [s for s in inputs if s.zero is not None]
+    assert len(with_zero) > len(named)
+    for s in with_zero:
+        assert u_of(s) == naive_u_of(s)
 
 
 def test_extension_of_the_trivial_zero_semigroup_is_figure_one():

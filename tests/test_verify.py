@@ -1,6 +1,8 @@
+import concurrent.futures
 import dataclasses
 import json
 import multiprocessing
+import os
 import pickle
 
 import pytest
@@ -282,6 +284,120 @@ def test_failed_inequality_claims_produce_chain_witnesses():
     assert not holds and witness
 
 
+# Each case forces the heights (L, R, J, H, E) and some flags on a real
+# context, then expects None (the claim does not apply), True (it holds) or
+# the relations whose longest chains make up the witness, in that order.
+HEIGHTS_AND_FLAGS_CASES = {
+    "prop3.5.3": [
+        ((2, 3, 3, 2, 1), {}, True),
+        ((2, 3, 3, 3, 1), {}, "LRJH"),
+        ((2, 3, 2, 1, 1), {}, "LRJH"),
+    ],
+    "prop4.1": [
+        ((1, 1, 1, 1, 1), {}, True),
+        ((2, 2, 2, 1, 1), {}, True),
+        ((1, 2, 2, 1, 1), {}, "LRJ"),
+        ((2, 1, 2, 1, 1), {}, "LRJ"),
+        ((1, 1, 1, 1, 1), {"left_stable": False}, "LRJ"),
+        ((1, 1, 1, 1, 1), {"right_stable": False}, "LRJ"),
+    ],
+    "prop4.2": [
+        ((1, 1, 1, 1, 1), {}, True),
+        ((2, 3, 3, 2, 1), {}, True),
+        ((1, 2, 2, 2, 1), {}, "LRJH"),
+        ((2, 2, 2, 1, 1), {}, "LRJH"),
+    ],
+    "prop4.3": [
+        ((3, 3, 9, 1, 1), {}, None),
+        ((2, 3, 2, 1, 1), {}, True),
+        ((3, 2, 3, 1, 1), {}, True),
+        ((2, 3, 4, 1, 1), {}, "J"),
+        ((3, 2, 1, 1, 1), {}, "J"),
+    ],
+    "prop4.4": [
+        ((3, 3, 9, 1, 1), {}, None),
+        ((2, 3, 3, 2, 1), {}, True),
+        ((2, 2, 2, 2, 1), {}, True),
+        ((2, 3, 3, 1, 1), {}, "HRJ"),
+        ((2, 2, 3, 2, 1), {}, "HRJ"),
+        ((2, 4, 4, 2, 1), {}, "HRJ"),
+    ],
+    "thm6.1": [
+        ((2, 2, 1, 1, 1), {}, True),
+        ((2, 3, 1, 1, 1), {}, True),
+        ((3, 2, 1, 1, 1), {}, True),
+        ((3, 7, 1, 1, 1), {}, True),
+        ((2, 1, 1, 1, 1), {}, "LR"),
+        ((2, 4, 1, 1, 1), {}, "LR"),
+        ((4, 2, 1, 1, 1), {}, "LR"),
+    ],
+    "thm6.2": [
+        ((2, 1, 2, 1, 1), {}, True),
+        ((2, 1, 3, 1, 1), {}, True),
+        ((2, 1, 1, 1, 1), {}, "LJ"),
+        ((2, 1, 4, 1, 1), {}, "LJ"),
+    ],
+    "thm6.5": [
+        ((1, 3, 9, 1, 1), {}, None),
+        ((3, 1, 9, 1, 1), {}, None),
+        ((2, 3, 3, 1, 1), {}, True),
+        ((3, 3, 4, 1, 1), {}, True),
+        ((2, 2, 2, 1, 1), {}, True),
+        ((2, 3, 2, 1, 1), {}, "LRJ"),
+        ((2, 3, 4, 1, 1), {}, "LRJ"),
+        ((3, 3, 5, 1, 1), {}, "LRJ"),
+        ((2, 2, 3, 1, 1), {}, "LRJ"),
+    ],
+    "prop7.1": [
+        ((2, 3, 9, 1, 1), {"semisimple": False}, None),
+        ((2, 3, 2, 1, 1), {"semisimple": True}, True),
+        ((2, 3, 3, 1, 1), {"semisimple": True}, "J"),
+    ],
+    "prop7.3": [
+        ((2, 3, 9, 1, 1), {"regular": False}, None),
+        ((2, 2, 2, 2, 2), {"regular": True}, True),
+        ((2, 2, 1, 2, 2), {"regular": True}, True),
+        ((2, 2, 3, 2, 2), {"regular": True}, "LRJH"),
+        ((2, 2, 2, 2, 1), {"regular": True}, "LRJH"),
+    ],
+    "prop7.5": [
+        ((2, 3, 9, 1, 1), {"regular": False}, None),
+        ((2, 3, 9, 1, 1), {"regular": True, "left_stable": False}, None),
+        ((2, 3, 9, 1, 1), {"regular": True, "right_stable": False}, None),
+        ((2, 2, 2, 2, 2), {"regular": True}, True),
+        ((2, 2, 1, 2, 2), {"regular": True}, "LRJH"),
+    ],
+    "cor7.7": [
+        ((2, 3, 9, 1, 1), {"regular": False}, None),
+        ((2, 2, 2, 2, 2), {"regular": True}, True),
+        ((2, 2, 1, 2, 2), {"regular": True, "left_stable": False}, True),
+        ((2, 2, 1, 2, 2), {"regular": True}, "LRJH"),
+        ((2, 2, 2, 2, 2), {"regular": True, "right_stable": False}, "LRJH"),
+    ],
+}
+
+
+@pytest.mark.parametrize("claim_id", sorted(HEIGHTS_AND_FLAGS_CASES))
+def test_claims_on_heights_and_flags_apply_hold_and_witness_as_stated(claim_id):
+    from greenheights.verify import _chain, _EVALUATORS
+
+    u2 = fixture("fig2_u2")
+    report = analyze(u2)
+    for (h_l, h_r, h_j, h_h, h_e), flags, expected in HEIGHTS_AND_FLAGS_CASES[claim_id]:
+        context = _Context(u2, report)
+        context.h = {"L": h_l, "R": h_r, "J": h_j, "H": h_h}
+        context.h_e = h_e
+        for flag, value in flags.items():
+            setattr(context, flag, value)
+        if expected is None:
+            want = None
+        elif expected is True:
+            want = (True, None)
+        else:
+            want = (False, tuple(_chain(u2, rel) for rel in expected))
+        assert _EVALUATORS[claim_id](context) == want, (h_l, h_r, h_j, h_h, h_e, flags)
+
+
 def test_witness_chain_rendering_uses_element_names():
     from greenheights.verify import _chain
 
@@ -457,9 +573,65 @@ def test_sweep_with_workers_stays_within_its_window(monkeypatch):
 
     summary = sweep(EnumerationConfig(order=1), jobs=jobs, on_record=on_record)
     assert summary.inputs == len(ahead) == len(pulled) == 400
-    window = verify_module.WINDOW_PER_JOB * jobs * verify_module.CHUNK
+    workers = min(jobs, verify_module._usable_cpus())
+    window = verify_module.WINDOW_PER_JOB * workers * verify_module.CHUNK
     assert max(ahead) <= window
     assert ahead[0] == window  # the window fills before the first result is consumed
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records its size and runs each
+    chunk when it is submitted, so no worker process is started."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.submitted = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize(
+    "jobs, affinity, cpu_count, workers",
+    [
+        (2, 3, None, 2),
+        (5000, 3, None, 3),
+        (5000, None, 4, 4),
+        (5000, None, None, 1),
+    ],
+)
+def test_the_pool_is_capped_at_the_usable_cpus(monkeypatch, jobs, affinity, cpu_count, workers):
+    pools, submitted_before_first_record = [], []
+
+    def pool_of(max_workers):
+        pools.append(_InProcessPool(max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(verify_module, "ProcessPoolExecutor", pool_of)
+    if affinity is None:  # a platform without sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)))
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    _counted_census(monkeypatch, [build_semigroup([[0]])] * 400, [])
+
+    def on_record(record):
+        if not submitted_before_first_record:
+            submitted_before_first_record.append(pools[0].submitted)
+
+    summary = sweep(EnumerationConfig(order=1), jobs=jobs, on_record=on_record)
+    assert summary.inputs == 400
+    assert [pool.max_workers for pool in pools] == [workers]  # jobs > 1 still takes the pool
+    assert submitted_before_first_record == [verify_module.WINDOW_PER_JOB * workers]
 
 
 def test_an_error_in_on_record_stops_the_workers(monkeypatch):
