@@ -16,7 +16,6 @@ import stat
 import sys
 import warnings
 from contextlib import ExitStack, contextmanager
-from pathlib import Path
 
 from .core import format_mtab
 from .enumeration import EnumerationConfig, enumerate_semigroups
@@ -33,13 +32,6 @@ from .verify import (
     report_payload,
     sweep,
 )
-
-
-def _write_or_print(payload: str, output: str | None):
-    if output is None:
-        sys.stdout.write(payload)
-    else:
-        Path(output).write_text(payload, encoding="utf-8")
 
 
 def _check_writable(path):
@@ -87,13 +79,14 @@ def _is_stdout(path: str) -> bool:
 
 
 @contextmanager
-def _output_file(path: str, newline=None):
-    """A text handle for the output ``path``. The file behind stdout is
-    written through ``sys.stdout``, so that what is printed later follows it,
+def _output_file(path: str | None, newline=None):
+    """A text handle for the output ``path``. None and the file behind stdout
+    are written through ``sys.stdout``, so that what is printed later follows it,
     and any other existing path that is not a regular file (a FIFO) in place.
-    Else the handle writes a new file beside ``path`` that replaces it when
-    the block ends without an exception and is removed when it raises."""
-    if _is_stdout(path):
+    Else ``path`` is checked on entry, before the block's work, and the handle
+    writes a new file beside it that replaces it when the block ends without
+    an exception and is removed when it raises."""
+    if path is None or _is_stdout(path):
         yield sys.stdout
         return
     if os.path.exists(path) and not os.path.isfile(path):
@@ -146,17 +139,17 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def _cmd_analyze(args) -> int:
-    s = load_input(args.input)
-    report = analyze(s)
-    doc = {"schema": SCHEMA, "order": s.order}
-    doc.update(vars(report))
-    _write_or_print(json.dumps(doc, indent=2) + "\n", args.output)
+    with _output_file(args.output) as out:
+        s = load_input(args.input)
+        doc = {"schema": SCHEMA, "order": s.order}
+        doc.update(vars(analyze(s)))
+        out.write(json.dumps(doc, indent=2) + "\n")
     return 0
 
 
 def _cmd_construct(args) -> int:
-    s = load_input(args.recipe)
-    _write_or_print(format_mtab(s), args.output)
+    with _output_file(args.output) as out:
+        out.write(format_mtab(load_input(args.recipe)))
     return 0
 
 
@@ -232,20 +225,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    s = load_input(args.input)
     relations = args.relation or list(ORDERED_RELATIONS)
+    if args.out_dir is None and len(relations) != 1:
+        print("--out-dir is required when exporting several relations", file=sys.stderr)
+        return 2
+    s = load_input(args.input)
     if args.out_dir is None:
-        if len(relations) != 1:
-            print("--out-dir is required when exporting several relations", file=sys.stderr)
-            return 2
-        sys.stdout.write(to_dot(s, relations[0]))
-        return 0
-    directory = Path(args.out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    for relation in relations:
-        (directory / f"{relation}.dot").write_text(
-            to_dot(s, relation), encoding="utf-8"
-        )
+        paths = [None]
+    else:
+        os.makedirs(args.out_dir, exist_ok=True)
+        paths = [os.path.join(args.out_dir, f"{relation}.dot") for relation in relations]
+    for relation, path in zip(relations, paths):
+        with _output_file(path) as out:
+            out.write(to_dot(s, relation))
     return 0
 
 

@@ -13,7 +13,9 @@ Grammar (one recipe per string):
     prod:<source>,<source> direct product
     s1:<source>           adjoin a fresh identity
 
-A <source> is either a fixture name or a path to an mtab v1 file.
+A <source> is a fixture name, or a path to an mtab v1 file or '-' (stdin),
+read as load_input reads one. It is never a recipe: prod and rees split at
+the first comma.
 """
 
 from __future__ import annotations
@@ -58,26 +60,25 @@ def _ints(text: str, count: int, recipe: str) -> list[int]:
         raise ParseError(f"recipe {recipe!r}: parameters must be integers") from None
 
 
+def _read_mtab(path: str) -> FiniteSemigroup:
+    """The table in the mtab file ``path``, or on stdin when ``path`` is '-'."""
+    if path == "-":
+        return parse_mtab(sys.stdin.read())
+    return parse_mtab(Path(path).read_text(encoding="utf-8"))
+
+
 def load_input(text: str) -> FiniteSemigroup:
     """Resolve an input string: '-' for stdin, a recipe string, or an mtab path."""
-    if text == "-":
-        return parse_mtab(sys.stdin.read())
     if looks_like_recipe(text):
         return build_from_string(text)
-    return parse_mtab(Path(text).read_text(encoding="utf-8"))
+    return _read_mtab(text)
 
 
 def build_from_string(text: str) -> FiniteSemigroup:
     """Build the semigroup a recipe string describes."""
 
     def resolve(source: str) -> FiniteSemigroup:
-        if source in FIXTURE_NAMES:
-            return fixture(source)
-        try:
-            raw = Path(source).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ParseError(f"cannot read source {source!r}: {exc}") from None
-        return parse_mtab(raw)
+        return fixture(source) if source in FIXTURE_NAMES else _read_mtab(source)
 
     kind, sep, rest = text.partition(":")
     if not sep or kind not in RECIPE_KINDS:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .constructions import collapse_to_zero
-from .core import FiniteSemigroup, Ideal, build_semigroup, opposite
+from .core import FiniteSemigroup, Ideal, build_semigroup
 from .errors import InternalCheckError, NoZeroError
 from .green import k_classes, k_height
 
@@ -153,19 +153,24 @@ def is_completely_0_simple(s: FiniteSemigroup) -> bool:
     )
 
 
-def left_socle(s: FiniteSemigroup) -> Ideal:
-    """Union of {0} and all 0-minimal L-classes; validated as a two-sided ideal."""
+def _socle(s: FiniteSemigroup, relation: str) -> Ideal:
+    """Union of {0} and all 0-minimal K-classes, K = relation, as an Ideal."""
     zero = _require_zero(s)
-    structure = k_classes(s, "L")
+    structure = k_classes(s, relation)
     members = {zero}
-    for c in zero_minimal_classes(s, "L"):
+    for c in zero_minimal_classes(s, relation):
         members.update(structure.classes[c])
     return Ideal(s, frozenset(members))
 
 
+def left_socle(s: FiniteSemigroup) -> Ideal:
+    """Union of {0} and all 0-minimal L-classes; validated as a two-sided ideal."""
+    return _socle(s, "L")
+
+
 def right_socle(s: FiniteSemigroup) -> Ideal:
-    """Dual of the left socle, computed on the opposite table."""
-    return Ideal(s, left_socle(opposite(s)).members)
+    """Union of {0} and all 0-minimal R-classes; validated as a two-sided ideal."""
+    return _socle(s, "R")
 
 
 def _restrict(s: FiniteSemigroup, elements) -> FiniteSemigroup:

@@ -416,17 +416,18 @@ def analyze(s: FiniteSemigroup) -> HeightReport:
     On small inputs the condensation heights are cross-checked against the
     direct chain oracle; a mismatch is an internal error, never a report.
     """
+    heights = {rel: k_height(s, rel) for rel in ORDERED_RELATIONS}
     if s.order <= ORACLE_LIMIT:
-        for rel in ORDERED_RELATIONS:
-            if k_height(s, rel) != longest_chain_oracle(s, rel):
+        for rel, height in heights.items():
+            if height != longest_chain_oracle(s, rel):
                 raise InternalCheckError(
                     f"height and chain oracle disagree on relation {rel}"
                 )
     return HeightReport(
-        H_L=k_height(s, "L"),
-        H_R=k_height(s, "R"),
-        H_J=k_height(s, "J"),
-        H_H=k_height(s, "H"),
+        H_L=heights["L"],
+        H_R=heights["R"],
+        H_J=heights["J"],
+        H_H=heights["H"],
         H_E=idempotent_height(s),
         left_stable=is_left_stable(s),
         right_stable=is_right_stable(s),

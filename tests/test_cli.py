@@ -229,7 +229,11 @@ def test_export_dot_all_relations_to_directory(capsys, tmp_path):
     ]
 
 
-def test_export_dot_multiple_relations_need_out_dir(capsys):
+def test_export_dot_multiple_relations_need_out_dir(capsys, monkeypatch):
+    def must_not_run(text):
+        raise AssertionError("the input was loaded before the usage was checked")
+
+    monkeypatch.setattr(cli_module, "load_input", must_not_run)
     code, _, err = run(
         capsys, "export-dot", "fixture:fig1_s", "--relation", "L", "--relation", "R"
     )
@@ -585,3 +589,67 @@ def test_an_output_to_dev_stdout_redirected_to_a_file_keeps_the_summary(tmp_path
         subprocess.run(command + ["/dev/stdout"], stdout=stdout, env=env, timeout=60,
                        check=True)
     assert out.read_bytes() == alone.read_bytes() + done.stdout
+
+
+@pytest.mark.parametrize("command", ["analyze", "construct"])
+def test_a_bad_output_path_fails_before_the_input_is_loaded(
+    capsys, tmp_path, monkeypatch, command
+):
+    def must_not_run(text):
+        raise AssertionError("the input was loaded before the output path was checked")
+
+    monkeypatch.setattr(cli_module, "load_input", must_not_run)
+    path = tmp_path / "missing" / "out"
+    code, out, err = run(capsys, command, "asym:3", "-o", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize(
+    "error, code", [(RuntimeError("induced"), 3), (KeyboardInterrupt(), None)],
+    ids=["error", "interrupt"],
+)
+def test_a_failed_analyze_leaves_an_existing_output_unchanged(
+    capsys, tmp_path, monkeypatch, error, code
+):
+    def fails(s):
+        raise error
+
+    monkeypatch.setattr(cli_module, "analyze", fails)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.json").write_bytes(b"an earlier analysis\n")
+    argv = ["analyze", "asym:3", "-o", "a.json"]
+    if code is None:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert run(capsys, *argv)[0] == code
+    assert (tmp_path / "a.json").read_bytes() == b"an earlier analysis\n"
+    assert os.listdir(tmp_path) == ["a.json"]
+
+
+def test_analyze_can_replace_its_own_input(capsys, tmp_path):
+    path = tmp_path / "t.mtab"
+    path.write_text(format_mtab(fixture("fig1_u")))
+    code, expected, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert run(capsys, "analyze", str(path), "-o", str(path)) == (0, "", "")
+    assert path.read_text() == expected
+
+
+@pytest.mark.parametrize("recipe", ["u-of:{}", "op:{}", "s1:{}", "rees:{},1"])
+def test_a_recipe_source_reads_stdin(capsys, monkeypatch, recipe):
+    code, expected, _ = run(capsys, "construct", recipe.format("fig1_s"))
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(format_mtab(fixture("fig1_s"))))
+    assert run(capsys, "construct", recipe.format("-")) == (0, expected, "")
+
+
+def test_a_missing_source_is_reported_as_a_missing_input(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "construct", "u-of:missing.mtab")
+    assert (code, out) == (2, "")
+    assert "missing.mtab" in err
+    assert err == run(capsys, "construct", "missing.mtab")[2]

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenheights import (
+    FIXTURE_NAMES,
     NoZeroError,
     build_semigroup,
     fixture,
@@ -22,6 +23,7 @@ from greenheights import (
     k_height,
     left_socle,
     minimal_ideal,
+    opposite,
     principal_factors,
     right_socle,
     squarefree_words,
@@ -30,6 +32,7 @@ from greenheights import (
 )
 from greenheights.enumeration import closure, compose, transformation_name
 from greenheights.green import GreenStructure, k_classes
+from greenheights.recipes import build_from_string
 import greenheights.structure as structure_module
 
 from helpers import (
@@ -153,11 +156,16 @@ def test_squarefree_socle_contains_exactly_the_two_letter_words_and_zero():
 
 
 def test_right_socle_is_the_dual():
-    u = u_of(fixture("fig1_s"))
-    # fresh elements form a single 0-minimal R-chain tail; compare via the dual
-    from greenheights import opposite
-
-    assert right_socle(u).members == left_socle(opposite(u)).members
+    # the right socle is read from the R-classes; the left socle of the
+    # opposite table is the independent oracle
+    named = [fixture(name) for name in FIXTURE_NAMES]
+    named += [build_from_string(r) for r in ("sqfree:3", "asym:3", "nm:3,6")]
+    named += [u_of(fixture("fig1_s")), u_of(fixture("fig2_u2"))]
+    inputs = [s for order in range(1, 5) for s in census(order)] + named
+    with_zero = [s for s in inputs if s.zero is not None]
+    assert len(with_zero) > len(named)
+    for s in with_zero:
+        assert right_socle(s).members == left_socle(opposite(s)).members
 
 
 def test_principal_factors_of_a_group():

@@ -98,6 +98,18 @@ def test_analyze_trivial_semigroup():
     assert report.has_zero
 
 
+@pytest.mark.parametrize("relation", ["L", "R", "J", "H"])
+def test_analyze_cross_checks_each_height_against_the_chain_oracle(monkeypatch, relation):
+    oracle = verify_module.longest_chain_oracle
+
+    def off_by_one_on_relation(s, rel):
+        return oracle(s, rel) + (rel == relation)
+
+    monkeypatch.setattr(verify_module, "longest_chain_oracle", off_by_one_on_relation)
+    with pytest.raises(InternalCheckError, match=f"relation {relation}$"):
+        analyze(fixture("fig2_u2"))
+
+
 def test_analyze_is_deterministic():
     s = fixture("fig2_u2")
     assert analyze(s) == analyze(s)
