@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter, ne
 
 from .errors import (
@@ -65,8 +65,9 @@ def _magma_generators(rows):
     return generators
 
 
-def _is_associative(rows):
-    """Light's test: check (xg)y = x(gy) only for g in a generating set.
+def _is_associative(rows, generators):
+    """Light's test: check (xg)y = x(gy) only for g in ``generators``, a
+    generating set of the table viewed as a magma.
 
     For any magma the elements g satisfying the law for all x, y are closed
     under the product, so the law holds everywhere once it holds on
@@ -75,7 +76,7 @@ def _is_associative(rows):
     """
     if len(rows) == 1:
         return True  # [[0]]; a one-index itemgetter would return bare entries
-    for g in _magma_generators(rows):
+    for g in generators:
         # over x, the rows y -> (xg)y and y -> x(gy), compared one at a time
         xg_rows = map(rows.__getitem__, map(itemgetter(g), rows))
         if any(map(ne, xg_rows, map(itemgetter(*rows[g]), rows))):
@@ -121,13 +122,16 @@ class FiniteSemigroup:
     """An immutable multiplication table over elements 0..n-1.
 
     Instances are produced by :func:`build_semigroup`, which validates
-    associativity and detects the identity and zero elements.
+    associativity and detects the identity and zero elements. It also keeps
+    the generating set its associativity test used; ``generators`` takes no
+    part in equality or hashing, and is None on a directly built instance.
     """
 
     table: tuple[tuple[int, ...], ...]
     names: tuple[str, ...] | None = None
     identity: int | None = None
     zero: int | None = None
+    generators: tuple[int, ...] | None = field(default=None, compare=False)
 
     @property
     def order(self) -> int:
@@ -182,7 +186,8 @@ def build_semigroup(table, names=None, identity=None, zero=None) -> FiniteSemigr
                 raise IndexError(
                     f"table entry at row {i}, column {j} is {v!r}, not in 0..{n - 1}"
                 )
-    if not _is_associative(rows):
+    generators = tuple(_magma_generators(rows))
+    if not _is_associative(rows, generators):
         raise AssociativityError(_first_associativity_failure(rows))
     if names is not None:
         names = tuple(str(x) for x in names)
@@ -196,7 +201,7 @@ def build_semigroup(table, names=None, identity=None, zero=None) -> FiniteSemigr
         raise ValueError(f"element {identity} is not a two-sided identity")
     if zero is not None and zero != detected_zero:
         raise ValueError(f"element {zero} is not a two-sided zero")
-    return FiniteSemigroup(tuple(rows), names, detected_identity, detected_zero)
+    return FiniteSemigroup(tuple(rows), names, detected_identity, detected_zero, generators)
 
 
 def adjoin_identity(s: FiniteSemigroup) -> FiniteSemigroup:
@@ -243,6 +248,16 @@ def _check_members(members, n):
             raise InvalidIdealError(f"ideal member {i!r} not in 0..{n - 1}")
 
 
+def _is_two_sided_closed(members, table):
+    """Whether every product of a member with an element lies in ``members``."""
+    if not all(map(members.issuperset, map(table.__getitem__, members))):
+        return False  # some i*a falls outside
+    pick = itemgetter(*members)
+    if len(members) == 1:  # a one-index itemgetter returns a bare entry
+        return members.issuperset(map(pick, table))
+    return all(map(members.issuperset, map(pick, table)))
+
+
 @dataclass(frozen=True)
 class Ideal:
     """A nonempty subset closed under two-sided multiplication by the parent.
@@ -261,7 +276,9 @@ class Ideal:
         n = self.parent.order
         table = self.parent.table
         _check_members(self.members, n)
-        for i in self.members:
+        if _is_two_sided_closed(self.members, table):
+            return
+        for i in self.members:  # name the first product outside, in this order
             for a in range(n):
                 for p in (table[a][i], table[i][a]):
                     if p not in self.members:

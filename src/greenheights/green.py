@@ -1,14 +1,23 @@
 """Green's preorders, the posets of K-classes, and the height computations.
 
-Dominance is computed per element as the principal (left/right/two-sided)
-ideal, stored as one bitmask per element: ``below[b]`` has bit ``a`` set
-exactly when a <=_K b. Two elements are K-equivalent precisely when their
-dominance masks coincide, so classes fall out of a single grouping pass.
-The strict class order is read off the representatives' masks once, as one
-strictly-below bitmask per class, and each class's height is pulled up from
-the classes below it in the same pass; the Hasse diagram is derived only for export.
-D is read off the L- and R-classes as L o R. The masks stay inside this
-module: other modules read the classes and their order from :func:`k_classes`.
+For K in {L, R, J}, a <=_K b holds exactly when a is reachable from b in the
+left (x -> gx), right (x -> xg) or two-sided Cayley graph over any generating
+set G (Froidure & Pin, "Algorithms for computing finite semigroups", 1997).
+:func:`k_classes` takes G from :func:`build_semigroup`'s associativity test
+and finds the K-classes as the graph's strongly connected components, with
+each class's strict-below set and height pulled up from the classes below
+it as the components complete: O(n |G|) edges instead of n^2 products. H is
+the meet of L and R, so its classes come from the L- and R-classes' element
+down-sets, intersected element by element.
+
+Dominance bitmasks (:func:`below_masks`: bit a of ``below[b]`` says
+a <=_K b) remain for the element-level work: :func:`preorder`, the witness
+chains of :func:`longest_chain_elements` and the independent cross-check
+:func:`longest_chain_oracle`. They also give the classes of tables of order
+up to ``MASK_ROUTE_MAX_ORDER``, where grouping elements by mask is cheaper
+than the graph search. D is read off the L- and R-classes as L o R. Other
+modules read the classes and their order from :func:`k_classes` only; the
+Hasse diagram is derived only for export.
 """
 
 from __future__ import annotations
@@ -16,11 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import FiniteSemigroup, Ideal
+from .core import FiniteSemigroup, Ideal, _magma_generators
 from .errors import InvalidIdealError
 
 ORDERED_RELATIONS = ("L", "R", "J", "H")
 RELATIONS = ORDERED_RELATIONS + ("D",)
+
+# k_classes groups tables up to this order by dominance mask, larger ones by
+# Cayley graph. For L, R, J and H together the two routes measured even near
+# orders 24-31, and the graph faster from 32 on (transformation semigroups and
+# nm-family tables, CPython 3.11 on a 2-vCPU VM).
+MASK_ROUTE_MAX_ORDER = 32
 
 
 def iter_bits(mask: int):
@@ -139,12 +154,166 @@ def _d_partition(s: FiniteSemigroup):
     return _group_by_mask([meets[c] for c in left.class_of])
 
 
+def _select_bits(mask: int, positions, width: int) -> int:
+    """The int whose bit k is bit ``positions[k]`` of ``mask`` (< 2**width)."""
+    bits = format(mask, f"0{width}b")[::-1]
+    return int("".join(map(bits.__getitem__, reversed(positions))), 2)
+
+
+def _order_from_masks(masks):
+    """Classes, strict order and heights of a preorder given by dominance masks."""
+    class_of, classes = _group_by_mask(masks)
+    count = len(classes)
+    reps = [members[0] for members in classes]
+    if count == len(masks):  # one element per class, and class c holds element c
+        lower = masks
+    else:
+        lower = [_select_bits(masks[r], reps, len(masks)) for r in reps]
+    below = [0] * count
+    height = [0] * count
+    levels = []  # bit c of levels[h] says class c has height h + 1
+    # a class strictly below another has a strictly smaller mask, so each class
+    # is reached after all classes below it have their heights
+    for c in sorted(range(count), key=lambda c: masks[reps[c]].bit_count()):
+        lt = lower[c] & ~(1 << c)
+        below[c] = lt
+        h = len(levels)
+        while h and not levels[h - 1] & lt:
+            h -= 1
+        if h == len(levels):
+            levels.append(0)
+        levels[h] |= 1 << c
+        height[c] = h + 1
+    return class_of, classes, below, height
+
+
+def _cayley_successors(s: FiniteSemigroup, relation: str):
+    """The distinct out-neighbours of each element in the right (x -> xg), left
+    (x -> gx) or two-sided Cayley graph over a generating set G of ``s``."""
+    table = s.table
+    generators = s.generators
+    if generators is None:
+        generators = _magma_generators(table)
+    if relation == "R":
+        return [tuple({row[g] for g in generators}) for row in table]
+    columns = [table[g] for g in generators]
+    if relation == "L":
+        return [tuple({col[x] for col in columns}) for x in range(s.order)]
+    return [
+        tuple({*(row[g] for g in generators), *(col[x] for col in columns)})
+        for x, row in enumerate(table)
+    ]
+
+
+def _components(succ):
+    """Strongly connected components by Tarjan's algorithm, without recursion.
+
+    Returns ``comp_of`` and the member lists in completion order, in which
+    each component comes after every component it reaches.
+    """
+    n = len(succ)
+    index = [0] * n  # 1 + discovery number; 0 while unvisited
+    low = [0] * n
+    comp_of = [-1] * n
+    stack = []
+    components = []
+    counter = 0
+    for root in range(n):
+        if index[root]:
+            continue
+        counter += 1
+        index[root] = low[root] = counter
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if not index[w]:
+                    counter += 1
+                    index[w] = low[w] = counter
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp_of[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:  # every edge of v is explored
+                work.pop()
+                if low[v] == index[v]:
+                    c = len(components)
+                    members = []
+                    while True:
+                        w = stack.pop()
+                        comp_of[w] = c
+                        members.append(w)
+                        if w == v:
+                            break
+                    components.append(members)
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+    return comp_of, components
+
+
+def _order_from_cayley_graph(s: FiniteSemigroup, relation: str):
+    """Classes, strict order and heights of L, R or J from a Cayley graph.
+
+    a <=_K b exactly when a is reachable from b, so the K-classes are the
+    strongly connected components, ordered by reachability.
+    """
+    succ = _cayley_successors(s, relation)
+    comp_of, components = _components(succ)
+    rank = [-1] * len(components)
+    count = 0
+    for c in comp_of:  # number the classes by least member
+        if rank[c] < 0:
+            rank[c] = count
+            count += 1
+    class_of = [rank[c] for c in comp_of]
+    classes = [None] * count
+    below = [0] * count
+    height = [1] * count
+    # completion order reaches each class after every class below it
+    for c, members in enumerate(components):
+        i = rank[c]
+        members.sort()
+        classes[i] = members
+        lower = {class_of[y] for x in members for y in succ[x]}
+        lower.discard(i)
+        lt = 0
+        for j in lower:
+            lt |= below[j] | (1 << j)
+            if height[i] <= height[j]:
+                height[i] = height[j] + 1
+        below[i] = lt
+    return class_of, classes, below, height
+
+
+def _element_down_sets(structure: GreenStructure):
+    """Per element a, the mask of the elements in a's class or below it."""
+    below = structure.below
+    if structure.class_count == len(structure.class_of):  # class a is {a}
+        return [lt | (1 << a) for a, lt in enumerate(below)]
+    down = [0] * structure.class_count
+    for a, c in enumerate(structure.class_of):
+        down[c] |= 1 << a
+    # a class strictly below another has a smaller height, so it is done first
+    for c in sorted(range(structure.class_count), key=structure.height.__getitem__):
+        rest = below[c]
+        while rest:  # a class's down-set covers every class below it
+            j = rest.bit_length() - 1
+            down[c] |= down[j]
+            rest &= ~(below[j] | (1 << j))
+    return [down[c] for c in structure.class_of]
+
+
 @lru_cache(maxsize=1024)
 def k_classes(s: FiniteSemigroup, relation: str) -> GreenStructure:
     """Classes of one Green's relation, with their strict order and heights.
 
     ``relation`` is one of L, R, J, H, D. Class indices are assigned by the
-    smallest contained element, making every field deterministic.
+    smallest contained element, making every field deterministic. Tables of
+    order above ``MASK_ROUTE_MAX_ORDER`` take the Cayley-graph route.
     """
     if relation == "D":
         class_of, classes = _d_partition(s)
@@ -155,22 +324,16 @@ def k_classes(s: FiniteSemigroup, relation: str) -> GreenStructure:
             None,
             None,
         )
-    masks = below_masks(s, relation)
-    class_of, classes = _group_by_mask(masks)
-    reps = [members[0] for members in classes]
-    rep_bits = sum(1 << r for r in reps)
-    below = [0] * len(classes)
-    height = [1] * len(classes)
-    # a class strictly below another has a strictly smaller mask, so each class
-    # is reached after all classes below it have their heights
-    for c in sorted(range(len(classes)), key=lambda c: masks[reps[c]].bit_count()):
-        for r in iter_bits(masks[reps[c]] & rep_bits):
-            j = class_of[r]
-            if j != c:
-                below[c] |= 1 << j
-                if height[c] <= height[j]:
-                    height[c] = height[j] + 1
-
+    if s.order <= MASK_ROUTE_MAX_ORDER or relation not in ORDERED_RELATIONS:
+        # below_masks raises ValueError for any other relation
+        order = _order_from_masks(below_masks(s, relation))
+    elif relation == "H":  # a <=_H b when a <=_L b and a <=_R b
+        left = _element_down_sets(k_classes(s, "L"))
+        right = _element_down_sets(k_classes(s, "R"))
+        order = _order_from_masks([a & b for a, b in zip(left, right)])
+    else:
+        order = _order_from_cayley_graph(s, relation)
+    class_of, classes, below, height = order
     return GreenStructure(
         relation,
         tuple(class_of),

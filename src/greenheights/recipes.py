@@ -15,7 +15,7 @@ Grammar (one recipe per string):
 
 A <source> is a fixture name, or a path to an mtab v1 file or '-' (stdin),
 read as load_input reads one. It is never a recipe: prod and rees split at
-the first comma.
+the first comma. Stdin can be read once, so naming it twice is an error.
 """
 
 from __future__ import annotations
@@ -60,6 +60,30 @@ def _ints(text: str, count: int, recipe: str) -> list[int]:
         raise ParseError(f"recipe {recipe!r}: parameters must be integers") from None
 
 
+def _stdin_reads(text: str) -> int:
+    """How many times loading the input string ``text`` reads stdin."""
+    if not looks_like_recipe(text):
+        return int(text == "-")
+    kind, _, rest = text.partition(":")
+    if kind in ("u-of", "op", "s1"):
+        sources = [rest]
+    elif kind == "prod":
+        sources = rest.split(",", 1)
+    elif kind == "rees":
+        sources = [rest.partition(",")[0]]
+    else:
+        sources = []
+    return sources.count("-")
+
+
+def reject_repeated_stdin(texts) -> None:
+    """Raise ParseError, before anything is read, when the input strings name
+    stdin ('-') more than once: each read after the first would find it empty."""
+    count = sum(map(_stdin_reads, texts))
+    if count > 1:
+        raise ParseError(f"stdin ('-') is named {count} times, but it can be read only once")
+
+
 def _read_mtab(path: str) -> FiniteSemigroup:
     """The table in the mtab file ``path``, or on stdin when ``path`` is '-'."""
     if path == "-":
@@ -83,6 +107,7 @@ def build_from_string(text: str) -> FiniteSemigroup:
     kind, sep, rest = text.partition(":")
     if not sep or kind not in RECIPE_KINDS:
         raise ParseError(f"not a recognised recipe: {text!r}")
+    reject_repeated_stdin([text])
     if kind == "nm":
         n, m = _ints(rest, 2, text)
         return nm_family(n, m)

@@ -539,8 +539,12 @@ def _as_inputs(source):
     input strings (recipes, mtab paths or '-') and pairs, in the given order.
 
     Every input string is loaded before any config is enumerated, so a bad
-    path or recipe fails before a census is generated."""
+    path or recipe fails before a census is generated, and stdin named twice
+    fails before anything is loaded."""
+    from . import recipes  # deferred: recipes sits above verify in the CLI
+
     items = [source] if isinstance(source, EnumerationConfig) else list(source)
+    recipes.reject_repeated_stdin(item for item in items if isinstance(item, str))
     items = [_loaded(item) if isinstance(item, str) else item for item in items]
     for item in items:
         if isinstance(item, EnumerationConfig):

@@ -653,3 +653,20 @@ def test_a_missing_source_is_reported_as_a_missing_input(capsys, tmp_path, monke
     assert (code, out) == (2, "")
     assert "missing.mtab" in err
     assert err == run(capsys, "construct", "missing.mtab")[2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("construct", "prod:-,-"), ("analyze", "prod:-,-"), ("verify", "-", "u-of:-"),
+     ("verify", "rees:-,0", "s1:-")],
+    ids=["construct", "analyze", "verify-input-and-recipe", "verify-two-recipes"],
+)
+def test_stdin_named_twice_fails_before_it_is_read(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    command = [sys.executable, "-m", "greenheights.cli", *argv]
+    table = format_mtab(fixture("fig1_s")).encode("utf-8")
+    done = subprocess.run(command, input=table, capture_output=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == b"error: stdin ('-') is named 2 times, but it can be read only once\n"

@@ -119,7 +119,7 @@ def _assert_light_test_matches_the_scan(table):
     """Light's test and the triple scan agree, and a rejection names the scan's triple."""
     rows = [tuple(row) for row in table]
     witness = _first_associativity_failure(rows)
-    assert _is_associative(rows) == (witness is None)
+    assert _is_associative(rows, _magma_generators(rows)) == (witness is None)
     if witness is None:
         assert build_semigroup(table).table == tuple(rows)
     else:
@@ -306,6 +306,34 @@ def test_ideal_validation_rejects_unclosed_sets():
         Ideal(s, frozenset({1}))  # a*a = z escapes
     with pytest.raises(EmptyIdealError):
         Ideal(s, frozenset())
+
+
+def _first_escape(s, members):
+    """Oracle for the closure check: the member-by-member loop, which names
+    the first product of a member that leaves the set, or None."""
+    for i in members:
+        for a in range(s.order):
+            for p in (s.table[a][i], s.table[i][a]):
+                if p not in members:
+                    return (
+                        f"not an ideal: product of {a} and {i} is {p}, "
+                        "which is outside the member set"
+                    )
+    return None
+
+
+def test_ideal_validation_names_the_loops_first_witness():
+    for s in census(1) + census(2) + census(3):
+        for k in range(1, s.order + 1):
+            for subset in itertools.combinations(range(s.order), k):
+                members = frozenset(subset)
+                expected = _first_escape(s, members)
+                if expected is None:
+                    assert Ideal(s, members).members == members
+                else:
+                    with pytest.raises(InvalidIdealError) as info:
+                        Ideal(s, members)
+                    assert str(info.value) == expected
 
 
 def test_ideal_closure_rejects_seeds_outside_the_table():

@@ -22,7 +22,10 @@ from greenheights import (
     to_dot,
     u_of,
 )
-from greenheights.green import below_masks
+from greenheights import green
+from greenheights.constructions import rees_quotient
+from greenheights.enumeration import random_transformation_subsemigroup
+from greenheights.green import MASK_ROUTE_MAX_ORDER, below_masks
 from greenheights.recipes import build_from_string
 from greenheights.structure import left_socle, minimal_ideal
 
@@ -38,6 +41,7 @@ from helpers import (
     naive_leq,
     naive_leq_matrix,
     order_five_and_six_samples,
+    order_five_prefix,
 )
 
 
@@ -367,6 +371,56 @@ def test_class_order_depths_and_hasse_diagram_match_the_pairwise_oracle():
         for relation in ("L", "R", "J", "H"):
             g = k_classes(s, relation)
             assert (g.classes, g.below, g.dag, g.height) == naive_class_order(s, relation)
+
+
+@lru_cache(maxsize=None)
+def _route_inputs():
+    """Tables on both sides of ``MASK_ROUTE_MAX_ORDER``: the census of orders
+    1-4, every 97th of the first 20,000 order-5 tables, transformation
+    semigroups of orders 10-60, and named constructions with U(S) and its
+    left-socle quotient for each."""
+    tables = [s for order in range(1, 5) for s in census(order)]
+    tables += [build_semigroup(t) for t in order_five_prefix(20000)[::97]]
+    closures = (random_transformation_subsemigroup(4, 1 + seed % 3, seed) for seed in range(400))
+    tables += itertools.islice((s for s in closures if 10 <= s.order <= 60), 40)
+    recipes = ("sqfree:3", "sqfree:4", "sqfree:5", "asym:2", "asym:3", "asym:4", "nm:5,20")
+    for s in map(build_from_string, recipes):
+        u = u_of(s)
+        tables += [s, u, rees_quotient(u, left_socle(u))]
+    return tuple(tables)
+
+
+@lru_cache(maxsize=None)
+def _oracle_structure(s, relation):
+    classes, below, _, height = naive_class_order(s, relation)
+    class_of = [0] * s.order
+    for c, members in enumerate(classes):
+        for a in members:
+            class_of[a] = c
+    return tuple(class_of), classes, below, height
+
+
+def test_route_inputs_cover_both_sides_of_the_threshold():
+    orders = {s.order for s in _route_inputs()}
+    assert min(orders) <= MASK_ROUTE_MAX_ORDER < max(orders)
+    assert sum(1 for n in orders if 10 <= n <= 60) >= 10
+
+
+@pytest.mark.parametrize("route", ["by-order", "cayley-graph"])
+def test_k_classes_match_the_mask_oracle_on_either_route(monkeypatch, route):
+    if route == "cayley-graph":  # every table takes the Cayley-graph route
+        monkeypatch.setattr(green, "MASK_ROUTE_MAX_ORDER", 0)
+    k_classes.cache_clear()
+    try:
+        for s in _route_inputs():
+            for relation in ("L", "R", "J", "H"):
+                g = k_classes(s, relation)
+                assert g.relation == relation
+                assert (g.class_of, g.classes, g.below, g.height) == (
+                    _oracle_structure(s, relation)
+                )
+    finally:
+        k_classes.cache_clear()
 
 
 def test_ideal_heights_match_the_per_call_longest_path_oracle():
