@@ -10,9 +10,11 @@ import warnings
 from .core import (
     FiniteSemigroup,
     Ideal,
+    _derived_semigroup,
+    _generating_set,
+    _picker,
     adjoin_identity,
     build_semigroup,
-    direct_product,
     opposite,
     unique_names,
 )
@@ -28,20 +30,33 @@ from .green import k_classes, k_height
 WORD_LETTERS = "xyzuvw"
 
 
-def collapse_to_zero(s: FiniteSemigroup, keep) -> FiniteSemigroup:
+def collapse_to_zero(s: FiniteSemigroup, keep, generated_by=None) -> FiniteSemigroup:
     """The elements of ``keep`` (ascending) with every product outside them
-    sent to a fresh zero, which gets the last index."""
-    position = {a: i for i, a in enumerate(keep)}
+    sent to a fresh zero, which gets the last index.
+
+    ``keep`` must make the result a Rees quotient, which is associative
+    because ``s`` is: the complement of an ideal, or a J-class (the quotient
+    of its principal ideal by the ideal strictly below it). The result is
+    not validated again. Its generating set is the images of
+    ``generated_by``, elements of ``s`` whose images generate it, or a
+    greedy one when that is None.
+    """
     zero_index = len(keep)
-    rows = [
-        [position.get(s.table[a][b], zero_index) for b in keep] + [zero_index]
-        for a in keep
-    ]
-    rows.append([zero_index] * (zero_index + 1))
+    position = [zero_index] * s.order
+    for i, a in enumerate(keep):
+        position[a] = i
+    tail = (zero_index,)
+    pick = _picker(keep)
+    get = position.__getitem__
+    rows = [tuple(map(get, pick(s.table[a]))) + tail for a in keep]
+    rows.append(tail * (zero_index + 1))
     names = None
     if s.names is not None:
-        names = unique_names([s.names[a] for a in keep] + ["0"])
-    return build_semigroup(rows, names)
+        names = tuple(unique_names([s.names[a] for a in keep] + ["0"]))
+    generators = None
+    if generated_by is not None:
+        generators = sorted({position[g] for g in generated_by})
+    return _derived_semigroup(tuple(rows), names, generators, tail)
 
 
 def rees_quotient(s: FiniteSemigroup, ideal: Ideal) -> FiniteSemigroup:
@@ -52,7 +67,9 @@ def rees_quotient(s: FiniteSemigroup, ideal: Ideal) -> FiniteSemigroup:
     """
     if not isinstance(ideal, Ideal) or ideal.parent != s:
         raise InvalidIdealError("expected an ideal of the semigroup being quotiented")
-    return collapse_to_zero(s, [a for a in range(s.order) if a not in ideal.members])
+    keep = [a for a in range(s.order) if a not in ideal.members]
+    # S -> S/I is onto, so the images of S's generators generate S/I
+    return collapse_to_zero(s, keep, _generating_set(s))
 
 
 def u_of(s: FiniteSemigroup) -> FiniteSemigroup:
@@ -67,14 +84,16 @@ def u_of(s: FiniteSemigroup) -> FiniteSemigroup:
         raise NoZeroError("the null ideal extension needs a zero element")
     n = s.order
     x_z = n + 1 + s.zero
-    fresh = list(range(n + 1, 2 * n + 1))
-    tail = [x_z] * (n + 1)
-    rows = [list(row) + [n] + fresh for row in s.table]
+    fresh = tuple(range(n + 1, 2 * n + 1))
+    tail = (x_z,) * (n + 1)
+    rows = [row + (n,) + fresh for row in s.table]
     rows.append(fresh + tail)
-    rows.extend([n + 1 + v for v in row] + tail for row in s.table)
+    shift = (n + 1).__add__
+    rows.extend(tuple(map(shift, row)) + tail for row in s.table)
     base = s.element_names()
-    names = unique_names(list(base) + ["x_1"] + [f"x_{b}" for b in base])
-    out = build_semigroup(rows, names)
+    names = tuple(unique_names(list(base) + ["x_1"] + [f"x_{b}" for b in base]))
+    # S and x_1 generate U(S), since x_t = x_1 t
+    out = _derived_semigroup(tuple(rows), names, _generating_set(s) + (n,), (x_z,))
     if out.zero != x_z:
         raise InternalCheckError("the extension did not put its zero at x_z")
     return out
@@ -131,15 +150,7 @@ def asym_family(n: int) -> FiniteSemigroup:
     )
     if not has_left_identity:
         raise InternalCheckError("the recursive construction lost its left identity")
-    right_part = opposite(left_part)
-    product = direct_product(left_part, right_part)
-    zs = left_part.zero
-    zt = right_part.zero
-    nt = right_part.order
-    members = frozenset(
-        {zs * nt + j for j in range(nt)} | {i * nt + zt for i in range(left_part.order)}
-    )
-    result = rees_quotient(product, Ideal(product, members))
+    result = _product_mod_zero_pairs(left_part, opposite(left_part))
     side = 2**n + n - 3
     two_sided = 2 ** (n + 1) - 4
     measured = (k_height(result, "L"), k_height(result, "R"), k_height(result, "J"))
@@ -148,6 +159,46 @@ def asym_family(n: int) -> FiniteSemigroup:
             f"expected heights {(side, side, two_sided)}, measured {measured}"
         )
     return result
+
+
+def _product_mod_zero_pairs(s: FiniteSemigroup, t: FiniteSemigroup) -> FiniteSemigroup:
+    """The Rees quotient of S x T by its ideal (z_S x T) u (S x z_T), built
+    from the two factor tables without forming S x T.
+
+    It equals ``rees_quotient(direct_product(s, t), ideal)``, names included:
+    the pairs of nonzero elements in product index order, then a fresh zero.
+    """
+    if s.zero is None or t.zero is None:
+        raise NoZeroError("both factors need a zero element")
+    left = [i for i in range(s.order) if i != s.zero]
+    right = [j for j in range(t.order) if j != t.zero]
+    m = len(right)
+    zero_index = len(left) * m
+    tail = (zero_index,)
+    # (i, j)(k, l) = (ik, jl) is cell jl of the block of ik, whose cell m,
+    # like every cell of the block of z_S, is the zero
+    block_of = [tail * (m + 1)] * s.order
+    for p, i in enumerate(left):
+        block_of[i] = tuple(range(p * m, p * m + m)) + tail
+    right_pos = [m] * t.order
+    for q, j in enumerate(right):
+        right_pos[j] = q
+    left_pick, right_pick = _picker(left), _picker(right)
+    cells_of = [_picker([right_pos[v] for v in right_pick(t.table[j])]) for j in right]
+    rows = []
+    for i in left:
+        row_blocks = list(map(block_of.__getitem__, left_pick(s.table[i])))
+        for cells in cells_of:
+            rows.append(tuple(itertools.chain.from_iterable(map(cells, row_blocks))) + tail)
+    rows.append(tail * (zero_index + 1))
+    names = None
+    if s.names is not None or t.names is not None:
+        nt = t.order
+        pair_names = unique_names(
+            f"({s.name_of(i)},{t.name_of(j)})" for i in range(s.order) for j in range(nt)
+        )
+        names = tuple(unique_names([pair_names[i * nt + j] for i in left for j in right] + ["0"]))
+    return _derived_semigroup(tuple(rows), names, None, tail)
 
 
 def squarefree_words(k: int) -> FiniteSemigroup:

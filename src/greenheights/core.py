@@ -84,6 +84,15 @@ def _is_associative(rows, generators):
     return True
 
 
+def _picker(indices):
+    """Like ``itemgetter(*indices)``, but returns a tuple for any number of
+    indices: a one-index itemgetter returns a bare entry, and none takes no index."""
+    indices = tuple(indices)
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda row: tuple(map(row.__getitem__, indices))
+
+
 def _detect_identity(rows):
     ident = tuple(range(len(rows)))
     for e, row in enumerate(rows):
@@ -92,10 +101,13 @@ def _detect_identity(rows):
     return None
 
 
-def _detect_zero(rows):
+def _detect_zero(rows, candidates=None):
+    """The zero of the table, looked for among ``candidates`` (every index by
+    default). A semigroup has at most one zero, so a construction that knows
+    the only index that can be its zero names just that one: an O(n) check."""
     n = len(rows)
-    for z, row in enumerate(rows):
-        if row.count(z) == n and list(map(itemgetter(z), rows)).count(z) == n:
+    for z in range(n) if candidates is None else candidates:
+        if rows[z].count(z) == n and list(map(itemgetter(z), rows)).count(z) == n:
             return z
     return None
 
@@ -122,9 +134,15 @@ class FiniteSemigroup:
     """An immutable multiplication table over elements 0..n-1.
 
     Instances are produced by :func:`build_semigroup`, which validates
-    associativity and detects the identity and zero elements. It also keeps
-    the generating set its associativity test used; ``generators`` takes no
-    part in equality or hashing, and is None on a directly built instance.
+    associativity and detects the identity and zero elements, or derived from
+    such an instance by a construction that preserves associativity (Rees
+    quotients, U(S), subsemigroups, duals, products, an adjoined identity).
+
+    ``generators`` generates the table: the greedy set of Light's test on a
+    validated table, or on a derived one the set that follows from its
+    parent's (the images of the parent's generators under a quotient map,
+    say) or, where none follows, a greedy set of its own. It takes no part in
+    equality or hashing, and is None on a directly built instance.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -160,6 +178,11 @@ _INT_ONLY = frozenset({int})
 
 def build_semigroup(table, names=None, identity=None, zero=None) -> FiniteSemigroup:
     """Validate a multiplication table and return the semigroup it defines.
+
+    This is the entry point for every table from outside the package: a
+    user's rows, a parsed mtab text, the enumerator's output. The package's
+    own constructions derive their tables from a semigroup built here and
+    skip this validation (see :func:`_derived_semigroup`).
 
     ``identity`` and ``zero`` are optional hints; both are always detected by a
     full scan, and a hint that does not match what the table says is an error.
@@ -204,42 +227,82 @@ def build_semigroup(table, names=None, identity=None, zero=None) -> FiniteSemigr
     return FiniteSemigroup(tuple(rows), names, detected_identity, detected_zero, generators)
 
 
+def _derived_semigroup(rows, names=None, generators=None, zero_candidates=None):
+    """The semigroup on ``rows``, a table that a construction derived from
+    semigroups already built: a Rees quotient, U(S), a subsemigroup, a dual,
+    a product or an adjoined identity. Each of these is associative because
+    its parent is, so nothing is validated again: no range scan and no
+    Light's test.
+
+    ``rows`` is a tuple of int tuples and ``names`` a tuple of distinct
+    strings or None. ``generators`` must generate the table; the construction
+    passes the set that follows from its parent's, or None for a greedy
+    search. ``zero_candidates`` are the only indices that can be the zero
+    (None: every index). The identity is always found by a full scan, since
+    a quotient can have one that its parent lacks.
+    """
+    if generators is None:
+        generators = _magma_generators(rows)
+    return FiniteSemigroup(
+        rows,
+        names,
+        _detect_identity(rows),
+        _detect_zero(rows, zero_candidates),
+        tuple(generators),
+    )
+
+
+def _generating_set(s: FiniteSemigroup) -> tuple[int, ...]:
+    """``s.generators``, or a greedy generating set on a directly built instance."""
+    if s.generators is None:
+        return tuple(_magma_generators(s.table))
+    return s.generators
+
+
+def _zero_candidates(s: FiniteSemigroup) -> tuple[int, ...]:
+    return () if s.zero is None else (s.zero,)
+
+
 def adjoin_identity(s: FiniteSemigroup) -> FiniteSemigroup:
     """Adjoin a fresh two-sided identity, growing the order by exactly one.
 
     A fresh element is added even when ``s`` already is a monoid.
     """
     n = s.order
-    rows = [list(row) + [a] for a, row in enumerate(s.table)]
-    rows.append(list(range(n + 1)))
+    rows = [row + (a,) for a, row in enumerate(s.table)]
+    rows.append(tuple(range(n + 1)))
     names = None
     if s.names is not None:
-        names = unique_names(list(s.names) + ["1"])
-    return build_semigroup(rows, names)
+        names = tuple(unique_names(list(s.names) + ["1"]))
+    # the zero of S stays a zero; the fresh identity is never one
+    return _derived_semigroup(
+        tuple(rows), names, _generating_set(s) + (n,), _zero_candidates(s)
+    )
 
 
 def opposite(s: FiniteSemigroup) -> FiniteSemigroup:
     """The anti-isomorphic dual: table'[a][b] = table[b][a]."""
-    n = s.order
-    rows = [[s.table[b][a] for b in range(n)] for a in range(n)]
-    return build_semigroup(rows, s.names)
+    return _derived_semigroup(
+        tuple(zip(*s.table)), s.names, _generating_set(s), _zero_candidates(s)
+    )
 
 
 def direct_product(s: FiniteSemigroup, t: FiniteSemigroup) -> FiniteSemigroup:
     """Componentwise product; the pair (i, j) gets index i*|T| + j."""
     ns, nt = s.order, t.order
     rows = []
-    for i in range(ns):
-        si = s.table[i]
-        for j in range(nt):
-            tj = t.table[j]
-            rows.append([si[k] * nt + tj[m] for k in range(ns) for m in range(nt)])
+    for si in s.table:
+        scaled = [v * nt for v in si]
+        for tj in t.table:
+            rows.append(tuple([a + b for a in scaled for b in tj]))
     names = None
     if s.names is not None or t.names is not None:
-        names = unique_names(
+        names = tuple(unique_names(
             f"({s.name_of(i)},{t.name_of(j)})" for i in range(ns) for j in range(nt)
-        )
-    return build_semigroup(rows, names)
+        ))
+    # (z_S, z_T) is the only pair that can be a zero
+    zero = () if s.zero is None or t.zero is None else (s.zero * nt + t.zero,)
+    return _derived_semigroup(tuple(rows), names, None, zero)
 
 
 def _check_members(members, n):
@@ -252,10 +315,7 @@ def _is_two_sided_closed(members, table):
     """Whether every product of a member with an element lies in ``members``."""
     if not all(map(members.issuperset, map(table.__getitem__, members))):
         return False  # some i*a falls outside
-    pick = itemgetter(*members)
-    if len(members) == 1:  # a one-index itemgetter returns a bare entry
-        return members.issuperset(map(pick, table))
-    return all(map(members.issuperset, map(pick, table)))
+    return all(map(members.issuperset, map(_picker(members), table)))
 
 
 @dataclass(frozen=True)

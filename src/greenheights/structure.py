@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .constructions import collapse_to_zero
-from .core import FiniteSemigroup, Ideal, build_semigroup
+from .core import FiniteSemigroup, Ideal, _derived_semigroup, _picker
 from .errors import InternalCheckError, NoZeroError
 from .green import k_classes, k_height
 
@@ -65,19 +65,17 @@ def group_bound_exponents(s: FiniteSemigroup) -> tuple[int, ...]:
     n = s.order
     out = []
     for a in range(n):
-        powers = [a]
-        for _ in range(2 * n):
-            powers.append(table[powers[-1]][a])
-        found = None
+        power, double = a, table[a][a]  # a^k and a^(2k), from k = 1
         for k in range(1, n + 1):
-            if h_of[powers[k - 1]] == h_of[powers[2 * k - 1]]:
-                found = k
+            if h_of[power] == h_of[double]:
+                out.append(k)
                 break
-        if found is None:
+            power = table[power][a]
+            double = table[table[double][a]][a]
+        else:
             raise InternalCheckError(
                 f"element {a} has no power inside a subgroup within {n} steps"
             )
-        out.append(found)
     return tuple(out)
 
 
@@ -174,22 +172,26 @@ def right_socle(s: FiniteSemigroup) -> Ideal:
 
 
 def _restrict(s: FiniteSemigroup, elements) -> FiniteSemigroup:
-    """Subsemigroup on a multiplicatively closed element set."""
+    """Subsemigroup on a multiplicatively closed element set, associative
+    because ``s`` is, so not validated again."""
     elems = sorted(elements)
-    position = {e: i for i, e in enumerate(elems)}
+    position = [-1] * s.order
+    for i, e in enumerate(elems):
+        position[e] = i
+    pick = _picker(elems)
+    get = position.__getitem__
     rows = []
     for a in elems:
-        row = []
-        for b in elems:
+        row = tuple(map(get, pick(s.table[a])))
+        if -1 in row:
+            b = elems[row.index(-1)]
             p = s.table[a][b]
-            if p not in position:
-                raise InternalCheckError(f"set is not closed: {a}*{b} = {p} escapes")
-            row.append(position[p])
+            raise InternalCheckError(f"set is not closed: {a}*{b} = {p} escapes")
         rows.append(row)
     names = None
     if s.names is not None:
-        names = [s.names[e] for e in elems]
-    return build_semigroup(rows, names)
+        names = tuple(s.names[e] for e in elems)
+    return _derived_semigroup(tuple(rows), names)
 
 
 @dataclass(frozen=True)

@@ -408,3 +408,27 @@ def naive_u_of(s):
     if out.zero != x(z):
         raise InternalCheckError("the extension did not put its zero at x_z")
     return out
+
+
+def naive_group_bound_exponents(s):
+    """Oracle for ``group_bound_exponents``, kept from its first form: all 2n
+    powers of each element a, then the least k with a^k H a^(2k)."""
+    h_of = k_classes(s, "H").class_of
+    table = s.table
+    n = s.order
+    out = []
+    for a in range(n):
+        powers = [a]
+        for _ in range(2 * n):
+            powers.append(table[powers[-1]][a])
+        found = None
+        for k in range(1, n + 1):
+            if h_of[powers[k - 1]] == h_of[powers[2 * k - 1]]:
+                found = k
+                break
+        if found is None:
+            raise InternalCheckError(
+                f"element {a} has no power inside a subgroup within {n} steps"
+            )
+        out.append(found)
+    return tuple(out)
