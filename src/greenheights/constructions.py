@@ -214,15 +214,14 @@ def squarefree_words(k: int) -> FiniteSemigroup:
         words.extend(itertools.permutations(range(k), length))
     words.sort(key=lambda w: (len(w), w))
     index = {w: i for i, w in enumerate(words)}
+    letters = [sum(1 << c for c in w) for w in words]  # one bit per letter used
     zero = len(words)
     total = zero + 1
     rows = [[zero] * total for _ in range(total)]
-    for w1 in words:
-        row = rows[index[w1]]
-        for w2 in words:
-            joined = w1 + w2
-            if len(set(joined)) == len(joined):
-                row[index[w2]] = index[joined]
+    for row, w1, m1 in zip(rows, words, letters):
+        for j, (w2, m2) in enumerate(zip(words, letters)):
+            if not m1 & m2:
+                row[j] = index[w1 + w2]
     names = ["".join(WORD_LETTERS[i] for i in w) for w in words] + ["0"]
     return build_semigroup(rows, names)
 

@@ -9,6 +9,10 @@ semigroup (stability, the minimal-ideal descriptions, Green's idempotent
 criterion for regularity) are recomputed from the definitions, and a
 disagreement raises InternalCheckError because it can only mean a bug here,
 never a property of the validated input.
+
+Regularity and (complete) semisimplicity are one fact on a finite semigroup,
+read from the J-classes' idempotents; :func:`principal_factors` is a public
+decomposition that the analysis does not build.
 """
 
 from __future__ import annotations
@@ -272,26 +276,19 @@ def is_inverse(s: FiniteSemigroup) -> bool:
 
 
 def is_semisimple(s: FiniteSemigroup) -> bool:
-    """No null principal factor."""
-    return all(pf.kind != "null" for pf in principal_factors(s))
+    """No null principal factor: every J-class holds an idempotent, since a
+    principal factor is null exactly when its J-class holds none."""
+    structure = k_classes(s, "J")
+    table = s.table
+    held = {structure.class_of[e] for e in range(s.order) if table[e][e] == e}
+    return len(held) == structure.class_count
 
 
 def is_completely_semisimple(s: FiniteSemigroup) -> bool:
     """Every principal factor completely simple or completely 0-simple.
 
-    For finite semigroups this must coincide with regularity, so the two are
-    cross-checked.
+    On a finite semigroup every non-null principal factor is completely
+    (0-)simple (Clifford & Preston 1961, §2.5-2.7), so this is semisimplicity,
+    and regularity too: every J-class holds an idempotent.
     """
-    result = True
-    for pf in principal_factors(s):
-        if pf.kind == "null":
-            result = False
-            break
-        if pf.kind == "zero_simple" and not is_completely_0_simple(pf.factor):
-            result = False
-            break
-    if result != is_regular(s):
-        raise InternalCheckError(
-            "complete semisimplicity and regularity disagree on a finite semigroup"
-        )
-    return result
+    return is_semisimple(s)

@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import islice
 
 from .constructions import rees_quotient, u_of
-from .core import FiniteSemigroup, Ideal, format_mtab
+from .core import FiniteSemigroup, Ideal, _picker, format_mtab
 from .enumeration import EnumerationConfig, enumerate_semigroups
 from .errors import InternalCheckError, RangeError, SemigroupError
 from .green import (
@@ -36,7 +36,7 @@ from .green import (
     longest_chain_oracle,
 )
 from .structure import (
-    is_completely_semisimple,
+    _restrict,
     is_completely_simple,
     is_group_bound,
     is_inverse,
@@ -47,7 +47,6 @@ from .structure import (
     left_socle,
     minimal_class_union,
     minimal_ideal,
-    principal_factors,
 )
 
 SCHEMA = "green-heights/1"
@@ -106,7 +105,6 @@ class _Context:
         self.h_e = report.H_E
         self.semisimple = report.semisimple
         self.regular = report.regular
-        self.factors = principal_factors(s)
         self.minimal = minimal_ideal(s)
         self._quotients: dict[frozenset, FiniteSemigroup] = {}
 
@@ -155,12 +153,9 @@ def _eval_lem21(c: _Context):
 
 
 def _eval_lem22(c: _Context):
-    minimal = set(c.minimal.members)
+    minimal = c.minimal.members
     union_h = minimal_class_union(c.s, "H")
-    simple_factor = next(
-        pf for pf in c.factors if set(pf.j_class) == minimal
-    )
-    ok = union_h == minimal and k_height(simple_factor.factor, "H") == 1
+    ok = union_h == minimal and k_height(_restrict(c.s, minimal), "H") == 1
     if ok:
         return True, None
     return False, (
@@ -282,13 +277,16 @@ def _eval_lem552(c: _Context):
         )
     q = rees_quotient(u, soc)
     mapping = [a for a in range(n) if a != s.zero] + [s.zero]
-    for a in range(q.order):
-        for b in range(q.order):
-            if mapping[q.table[a][b]] != s.table[mapping[a]][mapping[b]]:
-                return False, (
-                    f"quotient disagrees at ({s.name_of(mapping[a])},"
-                    f"{s.name_of(mapping[b])})",
-                )
+    pick = _picker(mapping)
+    for a, row in enumerate(q.table):
+        got = _picker(row)(mapping)
+        want = pick(s.table[mapping[a]])
+        if got != want:
+            b = [x == y for x, y in zip(got, want)].index(False)
+            return False, (
+                f"quotient disagrees at ({s.name_of(mapping[a])},"
+                f"{s.name_of(mapping[b])})",
+            )
     return True, None
 
 
@@ -414,7 +412,8 @@ def analyze(s: FiniteSemigroup) -> HeightReport:
     """All five heights plus the structural flags for one semigroup.
 
     On small inputs the condensation heights are cross-checked against the
-    direct chain oracle; a mismatch is an internal error, never a report.
+    direct chain oracle, and regularity against semisimplicity on every
+    input; a mismatch is an internal error, never a report.
     """
     heights = {rel: k_height(s, rel) for rel in ORDERED_RELATIONS}
     if s.order <= ORACLE_LIMIT:
@@ -423,6 +422,10 @@ def analyze(s: FiniteSemigroup) -> HeightReport:
                 raise InternalCheckError(
                     f"height and chain oracle disagree on relation {rel}"
                 )
+    # one fact on a finite semigroup, read from the inverses and the J-classes
+    regular = is_regular(s)
+    if is_semisimple(s) != regular:
+        raise InternalCheckError("regularity and semisimplicity disagree")
     return HeightReport(
         H_L=heights["L"],
         H_R=heights["R"],
@@ -432,10 +435,10 @@ def analyze(s: FiniteSemigroup) -> HeightReport:
         left_stable=is_left_stable(s),
         right_stable=is_right_stable(s),
         group_bound=is_group_bound(s),
-        regular=is_regular(s),
+        regular=regular,
         inverse=is_inverse(s),
-        semisimple=is_semisimple(s),
-        completely_semisimple=is_completely_semisimple(s),
+        semisimple=regular,
+        completely_semisimple=regular,
         completely_simple=is_completely_simple(s),
         has_zero=s.zero is not None,
     )

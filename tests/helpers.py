@@ -5,11 +5,17 @@ import random
 from functools import lru_cache
 
 from greenheights import build_semigroup, u_of
+from greenheights.constructions import WORD_LETTERS
 from greenheights.core import ideal_closure, unique_names
 from greenheights.errors import InternalCheckError, NoZeroError
 from greenheights.green import _longest_paths, below_masks, iter_bits, k_classes
 from greenheights.recipes import build_from_string
-from greenheights.structure import left_socle, minimal_ideal
+from greenheights.structure import (
+    is_completely_0_simple,
+    left_socle,
+    minimal_ideal,
+    principal_factors,
+)
 from greenheights.verify import PRINCIPAL_IDEAL_LIMIT
 from greenheights.enumeration import (
     associative_tables,
@@ -432,3 +438,53 @@ def naive_group_bound_exponents(s):
             )
         out.append(found)
     return tuple(out)
+
+
+def naive_squarefree_words(k):
+    """Oracle for ``squarefree_words``, kept from its first form: a product
+    is a word when the concatenation repeats no letter, tested by
+    ``len(set(w1 + w2))``. Returns (rows, names)."""
+    words = []
+    for length in range(1, k + 1):
+        words.extend(itertools.permutations(range(k), length))
+    words.sort(key=lambda w: (len(w), w))
+    index = {w: i for i, w in enumerate(words)}
+    zero = len(words)
+    rows = [[zero] * (zero + 1) for _ in range(zero + 1)]
+    for w1 in words:
+        row = rows[index[w1]]
+        for w2 in words:
+            joined = w1 + w2
+            if len(set(joined)) == len(joined):
+                row[index[w2]] = index[joined]
+    names = ["".join(WORD_LETTERS[i] for i in w) for w in words] + ["0"]
+    return rows, names
+
+
+@lru_cache(maxsize=None)
+def semisimplicity_inputs():
+    """Inputs for the differential test of the semisimplicity flags: the
+    census of orders 1-4, ``sqfree:3..5``, ``asym:2..4`` and ``nm:5,20``,
+    each followed by U(S) when it has a zero."""
+    named = ("sqfree:3", "sqfree:4", "sqfree:5", "asym:2", "asym:3", "asym:4", "nm:5,20")
+    out = []
+    for s in [s for order in range(1, 5) for s in census(order)] + [
+        build_from_string(r) for r in named
+    ]:
+        out.append(s)
+        if s.zero is not None:
+            out.append(u_of(s))
+    return tuple(out)
+
+
+def naive_semisimplicity(s):
+    """Oracle for ``is_semisimple`` and ``is_completely_semisimple``, from
+    their definitions on the principal factors: no factor is null, and every
+    ``zero_simple`` factor is completely 0-simple as well. Returns the two
+    flags in that order."""
+    factors = principal_factors(s)
+    semisimple = all(pf.kind != "null" for pf in factors)
+    completely = semisimple and all(
+        is_completely_0_simple(pf.factor) for pf in factors if pf.kind == "zero_simple"
+    )
+    return semisimple, completely

@@ -29,7 +29,7 @@ from greenheights import (
 from greenheights.constructions import FIXTURE_NAMES
 from greenheights.recipes import build_from_string
 
-from helpers import adjoin_zero, census, cyclic_group, naive_u_of
+from helpers import adjoin_zero, census, cyclic_group, naive_squarefree_words, naive_u_of
 
 
 def test_rees_quotient_by_everything_is_trivial():
@@ -191,6 +191,13 @@ def test_squarefree_word_names_and_collapse():
     assert s.table[y][x] == yx
     assert s.table[x][x] == zero
     assert s.table[xy][yx] == zero
+
+
+def test_squarefree_words_equal_the_letter_set_oracle():
+    # the letter bitmasks decide each product as the old set test did
+    for k in range(1, 6):
+        rows, names = naive_squarefree_words(k)
+        assert squarefree_words(k) == build_semigroup(rows, names)
 
 
 def test_fixture_registry():

@@ -20,6 +20,7 @@ from greenheights import (
     parse_mtab,
     squarefree_words,
     sweep,
+    u_of,
 )
 from greenheights.errors import (
     AssociativityError,
@@ -110,6 +111,19 @@ def test_analyze_cross_checks_each_height_against_the_chain_oracle(monkeypatch, 
         analyze(fixture("fig2_u2"))
 
 
+@pytest.mark.parametrize("rows", [[[0, 1], [1, 0]], [[0, 1, 2], [2, 2, 2], [2, 2, 2]]],
+                         ids=["regular", "not-regular"])
+def test_analyze_cross_checks_semisimplicity_against_regularity(monkeypatch, rows):
+    s = build_semigroup(rows)
+    report = analyze(s)
+    assert report.regular == report.semisimple == report.completely_semisimple
+    assert report.regular == (rows[0] == [0, 1])
+    semisimple = verify_module.is_semisimple
+    monkeypatch.setattr(verify_module, "is_semisimple", lambda s: not semisimple(s))
+    with pytest.raises(InternalCheckError, match="regularity and semisimplicity disagree"):
+        analyze(s)
+
+
 def test_analyze_is_deterministic():
     s = fixture("fig2_u2")
     assert analyze(s) == analyze(s)
@@ -121,6 +135,26 @@ def test_claims_hold_on_the_figures_and_words():
         for result in check_claims(s):
             assert result.holds, (s, result)
             assert result.witness is None
+
+
+def test_lem552_names_the_first_differing_cell_in_row_major_order(monkeypatch):
+    s = fixture("fig1_s")  # e, a, z with zero z, so the quotient keeps e, a, z in order
+    u = u_of(s)
+    real = verify_module.rees_quotient
+
+    def tampered(parent, ideal):
+        q = real(parent, ideal)
+        if parent != u:
+            return q
+        rows = [list(row) for row in q.table]
+        for a, b in ((1, 0), (0, 2)):  # the later row first, so row order decides
+            rows[a][b] = (rows[a][b] + 1) % q.order
+        return dataclasses.replace(q, table=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(verify_module, "rees_quotient", tampered)
+    result = next(r for r in check_claims(s) if r.claim_id == "lem5.5.2")
+    assert result.applicable and not result.holds
+    assert result.witness == ("quotient disagrees at (e,z)",)
 
 
 def test_u2_attains_the_two_sided_bound_with_equality():
