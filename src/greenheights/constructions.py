@@ -11,7 +11,6 @@ from .core import (
     FiniteSemigroup,
     Ideal,
     _derived_semigroup,
-    _generating_set,
     _picker,
     adjoin_identity,
     build_semigroup,
@@ -30,6 +29,19 @@ from .green import k_classes, k_height
 WORD_LETTERS = "xyzuvw"
 
 
+def _kept_rows(s: FiniteSemigroup, keep, outside, tail=()):
+    """The rows of the elements of ``keep`` (ascending), each cut to the
+    columns of ``keep`` and renumbered by position in it, a product outside
+    ``keep`` becoming ``outside``, and followed by ``tail``. Returns the rows
+    and the position of each element of ``s`` (``outside`` if not kept)."""
+    position = [outside] * s.order
+    for i, a in enumerate(keep):
+        position[a] = i
+    pick = _picker(keep)
+    get = position.__getitem__
+    return [tuple(map(get, pick(s.table[a]))) + tail for a in keep], position
+
+
 def collapse_to_zero(s: FiniteSemigroup, keep, generated_by=None) -> FiniteSemigroup:
     """The elements of ``keep`` (ascending) with every product outside them
     sent to a fresh zero, which gets the last index.
@@ -42,21 +54,31 @@ def collapse_to_zero(s: FiniteSemigroup, keep, generated_by=None) -> FiniteSemig
     greedy one when that is None.
     """
     zero_index = len(keep)
-    position = [zero_index] * s.order
-    for i, a in enumerate(keep):
-        position[a] = i
     tail = (zero_index,)
-    pick = _picker(keep)
-    get = position.__getitem__
-    rows = [tuple(map(get, pick(s.table[a]))) + tail for a in keep]
+    rows, position = _kept_rows(s, keep, zero_index, tail)
     rows.append(tail * (zero_index + 1))
     names = None
     if s.names is not None:
         names = tuple(unique_names([s.names[a] for a in keep] + ["0"]))
     generators = None
     if generated_by is not None:
-        generators = sorted({position[g] for g in generated_by})
+        generators = tuple(sorted({position[g] for g in generated_by}))
     return _derived_semigroup(tuple(rows), names, generators, tail)
+
+
+def _restrict(s: FiniteSemigroup, elements) -> FiniteSemigroup:
+    """Subsemigroup on a multiplicatively closed element set, associative
+    because ``s`` is, so not validated again."""
+    keep = sorted(elements)
+    rows, _ = _kept_rows(s, keep, -1)
+    for a, row in zip(keep, rows):
+        if -1 in row:
+            b = keep[row.index(-1)]
+            raise InternalCheckError(f"set is not closed: {a}*{b} = {s.table[a][b]} escapes")
+    names = None
+    if s.names is not None:
+        names = tuple(s.names[a] for a in keep)
+    return _derived_semigroup(tuple(rows), names)
 
 
 def rees_quotient(s: FiniteSemigroup, ideal: Ideal) -> FiniteSemigroup:
@@ -69,7 +91,7 @@ def rees_quotient(s: FiniteSemigroup, ideal: Ideal) -> FiniteSemigroup:
         raise InvalidIdealError("expected an ideal of the semigroup being quotiented")
     keep = [a for a in range(s.order) if a not in ideal.members]
     # S -> S/I is onto, so the images of S's generators generate S/I
-    return collapse_to_zero(s, keep, _generating_set(s))
+    return collapse_to_zero(s, keep, s.generators)
 
 
 def u_of(s: FiniteSemigroup) -> FiniteSemigroup:
@@ -93,7 +115,7 @@ def u_of(s: FiniteSemigroup) -> FiniteSemigroup:
     base = s.element_names()
     names = tuple(unique_names(list(base) + ["x_1"] + [f"x_{b}" for b in base]))
     # S and x_1 generate U(S), since x_t = x_1 t
-    out = _derived_semigroup(tuple(rows), names, _generating_set(s) + (n,), (x_z,))
+    out = _derived_semigroup(tuple(rows), names, s.generators + (n,), (x_z,))
     if out.zero != x_z:
         raise InternalCheckError("the extension did not put its zero at x_z")
     return out

@@ -141,15 +141,19 @@ class FiniteSemigroup:
     ``generators`` generates the table: the greedy set of Light's test on a
     validated table, or on a derived one the set that follows from its
     parent's (the images of the parent's generators under a quotient map,
-    say) or, where none follows, a greedy set of its own. It takes no part in
-    equality or hashing, and is None on a directly built instance.
+    say). Where none is passed, a greedy set of its own is searched for on
+    construction. It takes no part in equality or hashing.
     """
 
     table: tuple[tuple[int, ...], ...]
     names: tuple[str, ...] | None = None
     identity: int | None = None
     zero: int | None = None
-    generators: tuple[int, ...] | None = field(default=None, compare=False)
+    generators: tuple[int, ...] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.generators is None:
+            object.__setattr__(self, "generators", tuple(_magma_generators(self.table)))
 
     @property
     def order(self) -> int:
@@ -235,28 +239,14 @@ def _derived_semigroup(rows, names=None, generators=None, zero_candidates=None):
     Light's test.
 
     ``rows`` is a tuple of int tuples and ``names`` a tuple of distinct
-    strings or None. ``generators`` must generate the table; the construction
-    passes the set that follows from its parent's, or None for a greedy
-    search. ``zero_candidates`` are the only indices that can be the zero
-    (None: every index). The identity is always found by a full scan, since
-    a quotient can have one that its parent lacks.
+    strings or None. ``generators`` is a tuple that generates the table, the
+    one that follows from the parent's, or None for a greedy search.
+    ``zero_candidates`` are the only indices that can be the zero (None:
+    every index). The identity is always found by a full scan, since a
+    quotient can have one that its parent lacks.
     """
-    if generators is None:
-        generators = _magma_generators(rows)
-    return FiniteSemigroup(
-        rows,
-        names,
-        _detect_identity(rows),
-        _detect_zero(rows, zero_candidates),
-        tuple(generators),
-    )
-
-
-def _generating_set(s: FiniteSemigroup) -> tuple[int, ...]:
-    """``s.generators``, or a greedy generating set on a directly built instance."""
-    if s.generators is None:
-        return tuple(_magma_generators(s.table))
-    return s.generators
+    zero = _detect_zero(rows, zero_candidates)
+    return FiniteSemigroup(rows, names, _detect_identity(rows), zero, generators)
 
 
 def _zero_candidates(s: FiniteSemigroup) -> tuple[int, ...]:
@@ -276,14 +266,14 @@ def adjoin_identity(s: FiniteSemigroup) -> FiniteSemigroup:
         names = tuple(unique_names(list(s.names) + ["1"]))
     # the zero of S stays a zero; the fresh identity is never one
     return _derived_semigroup(
-        tuple(rows), names, _generating_set(s) + (n,), _zero_candidates(s)
+        tuple(rows), names, s.generators + (n,), _zero_candidates(s)
     )
 
 
 def opposite(s: FiniteSemigroup) -> FiniteSemigroup:
     """The anti-isomorphic dual: table'[a][b] = table[b][a]."""
     return _derived_semigroup(
-        tuple(zip(*s.table)), s.names, _generating_set(s), _zero_candidates(s)
+        tuple(zip(*s.table)), s.names, s.generators, _zero_candidates(s)
     )
 
 

@@ -4,8 +4,8 @@ For K in {L, R, J}, a <=_K b holds exactly when a is reachable from b in the
 left (x -> gx), right (x -> xg) or two-sided Cayley graph over any generating
 set G (Froidure & Pin, "Algorithms for computing finite semigroups", 1997).
 :func:`k_classes` takes G from ``FiniteSemigroup.generators`` (the set of
-Light's test, or the one a derived table inherits from its parent) and
-finds the K-classes as the graph's strongly connected components, with
+Light's test, the one a derived table inherits from its parent, or a greedy
+one) and finds the K-classes as the graph's strongly connected components, with
 each class's strict-below set and height pulled up from the classes below
 it as the components complete: O(n |G|) edges instead of n^2 products. H is
 the meet of L and R, so its classes come from the L- and R-classes' element
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import FiniteSemigroup, Ideal, _generating_set
+from .core import FiniteSemigroup, Ideal
 from .errors import InvalidIdealError
 
 ORDERED_RELATIONS = ("L", "R", "J", "H")
@@ -192,7 +192,7 @@ def _cayley_successors(s: FiniteSemigroup, relation: str):
     """The distinct out-neighbours of each element in the right (x -> xg), left
     (x -> gx) or two-sided Cayley graph over a generating set G of ``s``."""
     table = s.table
-    generators = _generating_set(s)
+    generators = s.generators
     if relation == "R":
         return [tuple({row[g] for g in generators}) for row in table]
     columns = [table[g] for g in generators]

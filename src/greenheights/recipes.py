@@ -60,11 +60,12 @@ def _ints(text: str, count: int, recipe: str) -> list[int]:
         raise ParseError(f"recipe {recipe!r}: parameters must be integers") from None
 
 
-def _stdin_reads(text: str) -> int:
-    """How many times loading the input string ``text`` reads stdin."""
-    if not looks_like_recipe(text):
-        return int(text == "-")
-    kind, _, rest = text.partition(":")
+def _sources(recipe: str) -> list[str]:
+    """The sources that ``recipe`` names, in order: for ``prod`` the text on
+    either side of its first comma, for ``rees`` the text before it, for
+    ``u-of``, ``op`` and ``s1`` all of it. An empty one raises ParseError,
+    since as a path it would name the working directory."""
+    kind, _, rest = recipe.partition(":")
     if kind in ("u-of", "op", "s1"):
         sources = [rest]
     elif kind == "prod":
@@ -72,8 +73,17 @@ def _stdin_reads(text: str) -> int:
     elif kind == "rees":
         sources = [rest.partition(",")[0]]
     else:
-        sources = []
-    return sources.count("-")
+        return []
+    if "" in sources:
+        raise ParseError(f"recipe {recipe!r}: a source is empty")
+    return sources
+
+
+def _stdin_reads(text: str) -> int:
+    """How many times loading the input string ``text`` reads stdin."""
+    if not looks_like_recipe(text):
+        return int(text == "-")
+    return _sources(text).count("-")
 
 
 def reject_repeated_stdin(texts) -> None:
@@ -88,6 +98,8 @@ def _read_mtab(path: str) -> FiniteSemigroup:
     """The table in the mtab file ``path``, or on stdin when ``path`` is '-'."""
     if path == "-":
         return parse_mtab(sys.stdin.read())
+    if not path:
+        raise ParseError("an empty path names no mtab file")
     return parse_mtab(Path(path).read_text(encoding="utf-8"))
 
 
@@ -117,24 +129,24 @@ def build_from_string(text: str) -> FiniteSemigroup:
     if kind == "sqfree":
         (k,) = _ints(rest, 1, text)
         return squarefree_words(k)
-    if kind == "u-of":
-        return u_of(resolve(rest))
     if kind == "fixture":
         return fixture(rest)
+    sources = _sources(text)
+    if kind == "u-of":
+        return u_of(resolve(sources[0]))
     if kind == "op":
-        return opposite(resolve(rest))
+        return opposite(resolve(sources[0]))
     if kind == "s1":
-        return adjoin_identity(resolve(rest))
+        return adjoin_identity(resolve(sources[0]))
     if kind == "prod":
-        left, sep2, right = rest.partition(",")
-        if not sep2:
+        if len(sources) != 2:
             raise ParseError(f"recipe {text!r}: expected two sources")
-        return direct_product(resolve(left), resolve(right))
+        return direct_product(*map(resolve, sources))
     # rees
-    source, sep2, elems = rest.partition(",")
+    _, sep2, elems = rest.partition(",")
     if not sep2 or not elems:
         raise ParseError(f"recipe {text!r}: expected 'rees:<source>,<e+e+..>'")
-    base = resolve(source)
+    base = resolve(sources[0])
     try:
         seed = [int(p) for p in elems.split("+")]
     except ValueError:

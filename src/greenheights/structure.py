@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .constructions import collapse_to_zero
-from .core import FiniteSemigroup, Ideal, _derived_semigroup, _picker
+from .constructions import _restrict, collapse_to_zero
+from .core import FiniteSemigroup, Ideal
 from .errors import InternalCheckError, NoZeroError
 from .green import k_classes, k_height
 
@@ -173,29 +173,6 @@ def left_socle(s: FiniteSemigroup) -> Ideal:
 def right_socle(s: FiniteSemigroup) -> Ideal:
     """Union of {0} and all 0-minimal R-classes; validated as a two-sided ideal."""
     return _socle(s, "R")
-
-
-def _restrict(s: FiniteSemigroup, elements) -> FiniteSemigroup:
-    """Subsemigroup on a multiplicatively closed element set, associative
-    because ``s`` is, so not validated again."""
-    elems = sorted(elements)
-    position = [-1] * s.order
-    for i, e in enumerate(elems):
-        position[e] = i
-    pick = _picker(elems)
-    get = position.__getitem__
-    rows = []
-    for a in elems:
-        row = tuple(map(get, pick(s.table[a])))
-        if -1 in row:
-            b = elems[row.index(-1)]
-            p = s.table[a][b]
-            raise InternalCheckError(f"set is not closed: {a}*{b} = {p} escapes")
-        rows.append(row)
-    names = None
-    if s.names is not None:
-        names = tuple(s.names[e] for e in elems)
-    return _derived_semigroup(tuple(rows), names)
 
 
 @dataclass(frozen=True)

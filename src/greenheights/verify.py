@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
-from .constructions import rees_quotient, u_of
+from .constructions import _restrict, rees_quotient, u_of
 from .core import FiniteSemigroup, Ideal, _picker, format_mtab
 from .enumeration import EnumerationConfig, enumerate_semigroups
 from .errors import InternalCheckError, RangeError, SemigroupError
@@ -36,7 +36,7 @@ from .green import (
     longest_chain_oracle,
 )
 from .structure import (
-    _restrict,
+    group_bound_exponents,
     is_completely_simple,
     is_group_bound,
     is_inverse,
@@ -165,17 +165,10 @@ def _eval_lem22(c: _Context):
 
 
 def _eval_lem34(c: _Context):
+    # a^k H a^(2k) holds exactly from the index of a on, the least such k
     n = c.h["H"]
-    table = c.s.table
-    h_of = k_classes(c.s, "H").class_of
-    for a in range(c.s.order):
-        p = a
-        for _ in range(n - 1):
-            p = table[p][a]
-        q = p
-        for _ in range(n):
-            q = table[q][a]
-        if h_of[p] != h_of[q]:
+    for a, k in enumerate(group_bound_exponents(c.s)):
+        if k > n:
             name = c.s.name_of(a)
             return False, (f"{name}^{n} and {name}^{2 * n} are not H-related",)
     return True, None

@@ -440,6 +440,24 @@ def naive_group_bound_exponents(s):
     return tuple(out)
 
 
+def naive_lem34(s, n):
+    """Oracle for the ``lem3.4`` evaluator with H_H = n, kept from its first
+    form: a power walk to a^n and a^(2n) for each element a in turn."""
+    table = s.table
+    h_of = k_classes(s, "H").class_of
+    for a in range(s.order):
+        p = a
+        for _ in range(n - 1):
+            p = table[p][a]
+        q = p
+        for _ in range(n):
+            q = table[q][a]
+        if h_of[p] != h_of[q]:
+            name = s.name_of(a)
+            return False, (f"{name}^{n} and {name}^{2 * n} are not H-related",)
+    return True, None
+
+
 def naive_squarefree_words(k):
     """Oracle for ``squarefree_words``, kept from its first form: a product
     is a word when the concatenation repeats no letter, tested by

@@ -657,6 +657,20 @@ def test_a_missing_source_is_reported_as_a_missing_input(capsys, tmp_path, monke
 
 @pytest.mark.parametrize(
     "argv",
+    [("analyze", ""), ("analyze", "u-of:"), ("analyze", "op:"), ("analyze", "s1:"),
+     ("analyze", "prod:,fig1_s"), ("analyze", "prod:fig1_s,"), ("analyze", "rees:,0"),
+     ("verify", ""), ("verify", "u-of:"), ("construct", "rees:")],
+)
+def test_an_empty_path_or_source_is_malformed_input(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # as a path, '' would name this directory
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Is a directory" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
     [("construct", "prod:-,-"), ("analyze", "prod:-,-"), ("verify", "-", "u-of:-"),
      ("verify", "rees:-,0", "s1:-")],
     ids=["construct", "analyze", "verify-input-and-recipe", "verify-two-recipes"],

@@ -4,6 +4,7 @@ are built without validating them again. These tests hold each such table
 to a fully validated build of the same table, and keep full validation at
 every entry point for tables from outside."""
 
+import pickle
 from functools import lru_cache
 
 import pytest
@@ -26,7 +27,7 @@ from greenheights import (
 )
 from greenheights import enumeration
 from greenheights.constructions import _product_mod_zero_pairs, nm_family
-from greenheights.core import Ideal, unique_names
+from greenheights.core import FiniteSemigroup, Ideal, _derived_semigroup, unique_names
 from greenheights.enumeration import EnumerationConfig, enumerate_semigroups
 from greenheights.recipes import build_from_string
 from greenheights.structure import left_socle
@@ -126,6 +127,21 @@ def test_derived_tables_equal_their_validated_builds_and_keep_a_generating_set()
             assert _generates(derived), (s, label)
             checked += 1
     assert checked > 30000
+
+
+def test_every_semigroup_carries_a_generating_set():
+    # x*y = max(x, y) on 0..n-1 needs every element as a generator
+    chain = tuple(tuple(max(x, y) for y in range(1000)) for x in range(1000))
+    direct = [FiniteSemigroup(fixture("fig2_u2").table), FiniteSemigroup(chain)]
+    assert direct[1].generators == tuple(range(1000))
+    built = [s for s, _ in differential_inputs()[:50]] + [build_from_string("asym:3")]
+    for s in direct + built:
+        copy = pickle.loads(pickle.dumps(s))
+        assert copy == s and copy.generators == s.generators
+        derived = _derived_semigroup(s.table, s.names)
+        assert derived.table == s.table
+        for t in (s, copy, derived):
+            assert isinstance(t.generators, tuple) and _generates(t)
 
 
 def test_the_asym_quotient_equals_the_quotient_of_the_full_product():

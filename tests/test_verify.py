@@ -29,6 +29,7 @@ from greenheights.errors import (
     RangeError,
     SemigroupError,
 )
+from greenheights.recipes import build_from_string
 from greenheights.verify import (
     SCHEMA,
     _Context,
@@ -39,7 +40,7 @@ from greenheights.verify import (
 
 import greenheights.verify as verify_module
 
-from helpers import census, differential_inputs, naive_ideal_family
+from helpers import census, differential_inputs, naive_ideal_family, naive_lem34
 
 
 EXPECTED_CLAIM_IDS = (
@@ -330,6 +331,21 @@ def test_failed_inequality_claims_produce_chain_witnesses():
     assert not holds and witness
 
 
+def test_lem34_fails_exactly_where_the_power_walk_does():
+    # no input falsifies lem3.4, so lower H_H to every value up to the true one
+    named = [build_from_string(r) for r in ("sqfree:4", "asym:3", "nm:4,11", "fixture:fig1_u")]
+    failing = 0
+    for s in [s for order in range(1, 5) for s in census(order)] + named:
+        report = analyze(s)
+        for n in range(1, report.H_H + 1):
+            context = _Context(s, report)
+            context.h = dict(context.h, H=n)
+            want = naive_lem34(s, n)
+            assert verify_module._EVALUATORS["lem3.4"](context) == want, (s, n)
+            failing += not want[0]
+    assert failing > 1000
+
+
 # Each case forces the heights (L, R, J, H, E) and some flags on a real
 # context, then expects None (the claim does not apply), True (it holds) or
 # the relations whose longest chains make up the witness, in that order.
@@ -511,8 +527,6 @@ def test_parse_error_keeps_its_line_through_pickling():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_keeps_the_line_of_a_parse_error(tmp_path, monkeypatch, jobs):
-    from greenheights.recipes import build_from_string
-
     monkeypatch.chdir(tmp_path)
     (tmp_path / "badrow.mtab").write_text("2\n0 0\n0\n")  # the second row is short
     recipe = "u-of:badrow.mtab"
