@@ -30,10 +30,11 @@ WORD_LETTERS = "xyzuvw"
 
 
 def _kept_rows(s: FiniteSemigroup, keep, outside, tail=()):
-    """The rows of the elements of ``keep`` (ascending), each cut to the
+    """The rows of the elements of ``keep``, in its order, each cut to the
     columns of ``keep`` and renumbered by position in it, a product outside
     ``keep`` becoming ``outside``, and followed by ``tail``. Returns the rows
-    and the position of each element of ``s`` (``outside`` if not kept)."""
+    and the position of each element of ``s`` (``outside`` if not kept).
+    ``keep`` may come in any order; ``lem5.5.2`` puts the zero last."""
     position = [outside] * s.order
     for i, a in enumerate(keep):
         position[a] = i
@@ -127,24 +128,29 @@ def nm_family(n: int, m: int) -> FiniteSemigroup:
     Valid for 1 <= n <= m <= 2**n - 1. Built recursively: the trivial
     semigroup at the base; an adjoined identity while m <= 2**(n-1); otherwise
     the null ideal extension of the previous full-range member, cut back by
-    the tail of its (total) R-order.
+    the tail of its (total) R-order. The identities are adjoined in a loop,
+    so only the extension recurses, about log2(m) + 1 levels deep.
     """
     if n < 1 or m < n or m > 2**n - 1:
         raise RangeError(f"need 1 <= n <= m <= 2^n - 1, got n={n}, m={m}")
+    adjoined = 0
+    while n > 1 and m <= 2 ** (n - 1):
+        n, m, adjoined = n - 1, m - 1, adjoined + 1
     if n == 1:
-        return build_semigroup([[0]], ["e"])
-    if m <= 2 ** (n - 1):
-        return adjoin_identity(nm_family(n - 1, m - 1))
-    previous = nm_family(n - 1, 2 ** (n - 1) - 1)
-    extended = u_of(previous)
-    size = extended.order  # 2**n - 1
-    right = k_classes(extended, "R")
-    if sorted(right.height) != list(range(1, size + 1)):
-        raise InternalCheckError("expected a total R-order on the extension")
-    tail = frozenset(a for a in range(size) if right.height[right.class_of[a]] <= size + 1 - m)
-    result = rees_quotient(extended, Ideal(extended, tail))
-    if result.order != m:
-        raise InternalCheckError(f"expected order {m}, built {result.order}")
+        result = build_semigroup([[0]], ["e"])
+    else:
+        previous = nm_family(n - 1, 2 ** (n - 1) - 1)
+        extended = u_of(previous)
+        size = extended.order  # 2**n - 1
+        right = k_classes(extended, "R")
+        if sorted(right.height) != list(range(1, size + 1)):
+            raise InternalCheckError("expected a total R-order on the extension")
+        tail = frozenset(a for a in range(size) if right.height[right.class_of[a]] <= size + 1 - m)
+        result = rees_quotient(extended, Ideal(extended, tail))
+        if result.order != m:
+            raise InternalCheckError(f"expected order {m}, built {result.order}")
+    for _ in range(adjoined):
+        result = adjoin_identity(result)
     return result
 
 

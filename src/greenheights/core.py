@@ -142,7 +142,9 @@ class FiniteSemigroup:
     validated table, or on a derived one the set that follows from its
     parent's (the images of the parent's generators under a quotient map,
     say). Where none is passed, a greedy set of its own is searched for on
-    construction. It takes no part in equality or hashing.
+    construction. It takes no part in equality or hashing, nor does
+    ``idempotents``, the one definition of an idempotent (ee = e), filled in
+    on construction too.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -150,10 +152,13 @@ class FiniteSemigroup:
     identity: int | None = None
     zero: int | None = None
     generators: tuple[int, ...] = field(default=None, compare=False)
+    idempotents: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.generators is None:
             object.__setattr__(self, "generators", tuple(_magma_generators(self.table)))
+        idempotents = tuple(e for e, row in enumerate(self.table) if row[e] == e)
+        object.__setattr__(self, "idempotents", idempotents)
 
     @property
     def order(self) -> int:

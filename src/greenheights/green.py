@@ -419,7 +419,7 @@ def height_within_ideal(s: FiniteSemigroup, ideal: Ideal, relation: str) -> int:
 def idempotent_height(s: FiniteSemigroup) -> int:
     """Height of the idempotent poset, where e >= f means ef = fe = f."""
     table = s.table
-    idempotents = [e for e in range(s.order) if table[e][e] == e]
+    idempotents = s.idempotents
     if not idempotents:
         raise ValueError("finite semigroup without idempotents: invalid input")
 

@@ -224,13 +224,11 @@ def _inverse_criteria(s: FiniteSemigroup, accept, name: str) -> bool:
     """Whether ``accept`` holds for the number of inverses of every element;
     cross-checked against the number of idempotents in every L- and R-class."""
     definitional = all(accept(len(_inverses_of(s, a))) for a in range(s.order))
-    table = s.table
-    idempotents = [e for e in range(s.order) if table[e][e] == e]
     by_idempotents = True
     for relation in ("L", "R"):
         structure = k_classes(s, relation)
         counts = [0] * structure.class_count
-        for e in idempotents:
+        for e in s.idempotents:
             counts[structure.class_of[e]] += 1
         if not all(map(accept, counts)):
             by_idempotents = False
@@ -256,8 +254,7 @@ def is_semisimple(s: FiniteSemigroup) -> bool:
     """No null principal factor: every J-class holds an idempotent, since a
     principal factor is null exactly when its J-class holds none."""
     structure = k_classes(s, "J")
-    table = s.table
-    held = {structure.class_of[e] for e in range(s.order) if table[e][e] == e}
+    held = {structure.class_of[e] for e in s.idempotents}
     return len(held) == structure.class_count
 
 

@@ -4,9 +4,9 @@ input batches.
 
 Claims are evaluated independently, never short-circuited, so a single engine
 bug shows up as many correlated failures instead of hiding behind the first.
-Facts whose failure is impossible for a validated finite input (stability,
-agreement between the two regularity criteria) raise InternalCheckError
-instead of producing a violation, because they can only mean a bug here.
+Facts that cannot fail on a validated finite input (stability, the two
+regularity criteria, the chain oracle, the exponent bound) make :func:`analyze`
+raise InternalCheckError, not a violation, as they can only mean a bug here.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
-from .constructions import _restrict, rees_quotient, u_of
-from .core import FiniteSemigroup, Ideal, _picker, format_mtab
+from .constructions import _kept_rows, _restrict, rees_quotient, u_of
+from .core import FiniteSemigroup, Ideal, format_mtab
 from .enumeration import EnumerationConfig, enumerate_semigroups
 from .errors import InternalCheckError, RangeError, SemigroupError
 from .green import (
@@ -90,22 +90,13 @@ def _set_names(s: FiniteSemigroup, elements) -> str:
 
 
 class _Context:
-    """Shared per-semigroup data for the claim evaluators; the heights and
-    flags come from the semigroup's :func:`analyze` report."""
+    """Shared per-semigroup data for the claim evaluators: the :func:`analyze`
+    report as is, its heights by relation, and ideals and tables built on first use."""
 
     def __init__(self, s: FiniteSemigroup, report: HeightReport):
         self.s = s
-        self.left_stable = report.left_stable
-        self.right_stable = report.right_stable
-        if not (self.left_stable and self.right_stable):
-            raise InternalCheckError(
-                "a validated finite semigroup failed the stability identity"
-            )
+        self.report = report
         self.h = {"L": report.H_L, "R": report.H_R, "J": report.H_J, "H": report.H_H}
-        self.h_e = report.H_E
-        self.semisimple = report.semisimple
-        self.regular = report.regular
-        self.minimal = minimal_ideal(s)
         self._quotients: dict[frozenset, FiniteSemigroup] = {}
 
     def quotient(self, ideal: Ideal) -> FiniteSemigroup:
@@ -114,6 +105,10 @@ class _Context:
             got = rees_quotient(self.s, ideal)
             self._quotients[ideal.members] = got
         return got
+
+    @cached_property
+    def minimal(self) -> Ideal:
+        return minimal_ideal(self.s)
 
     @cached_property
     def socle(self) -> Ideal:
@@ -270,10 +265,8 @@ def _eval_lem552(c: _Context):
         )
     q = rees_quotient(u, soc)
     mapping = [a for a in range(n) if a != s.zero] + [s.zero]
-    pick = _picker(mapping)
-    for a, row in enumerate(q.table):
-        got = _picker(row)(mapping)
-        want = pick(s.table[mapping[a]])
+    rows, _ = _kept_rows(s, mapping, None)
+    for a, (got, want) in enumerate(zip(q.table, rows)):
         if got != want:
             b = [x == y for x, y in zip(got, want)].index(False)
             return False, (
@@ -297,10 +290,9 @@ def _eval_prop56(c: _Context):
 
 
 def _eval_lem72(c: _Context):
-    if c.h_e <= min(c.h["L"], c.h["R"], c.h["H"]):
+    if c.report.H_E <= min(c.h["L"], c.h["R"], c.h["H"]):
         return True, None
-    idempotents = [e for e in range(c.s.order) if c.s.table[e][e] == e]
-    return False, (f"idempotents {_set_names(c.s, idempotents)}",)
+    return False, (f"idempotents {_set_names(c.s, c.s.idempotents)}",)
 
 
 def _on_heights(holds, witness: str, applies=None):
@@ -320,11 +312,11 @@ def _on_heights(holds, witness: str, applies=None):
 
 
 def _five_equal(c: _Context) -> bool:
-    return c.h["L"] == c.h["R"] == c.h["H"] == c.h_e == c.h["J"]
+    return c.h["L"] == c.h["R"] == c.h["H"] == c.report.H_E == c.h["J"]
 
 
 def _stable(c: _Context) -> bool:
-    return c.left_stable and c.right_stable
+    return c.report.left_stable and c.report.right_stable
 
 
 # claim id -> (one-line statement, evaluator), in registry order
@@ -340,8 +332,8 @@ _REGISTRY = {
                   _on_heights(lambda c: c.h["H"] <= min(c.h["L"], c.h["R"])
                               and max(c.h["L"], c.h["R"]) <= c.h["J"], "LRJH")),
     "prop4.1": ("H_L = 1 iff H_J = 1 with left stability, and dually for H_R",
-                _on_heights(lambda c: ((c.h["L"] == 1) == (c.h["J"] == 1 and c.left_stable))
-                            and ((c.h["R"] == 1) == (c.h["J"] == 1 and c.right_stable)),
+                _on_heights(lambda c: ((c.h["L"] == 1) == (c.h["J"] == 1 and c.report.left_stable))
+                            and ((c.h["R"] == 1) == (c.h["J"] == 1 and c.report.right_stable)),
                             "LRJ")),
     "prop4.2": ("H_L = 1, H_R = 1, H_H = 1 and H_J = 1 are all equivalent",
                 _on_heights(lambda c: len({c.h[rel] == 1 for rel in "LRJH"}) == 1, "LRJH")),
@@ -383,16 +375,16 @@ _REGISTRY = {
     "lem7.2": ("H_E <= min(H_L, H_R, H_H)", _eval_lem72),
     "prop7.1": ("semisimple: H_J <= min(H_L, H_R)",
                 _on_heights(lambda c: c.h["J"] <= min(c.h["L"], c.h["R"]), "J",
-                            applies=lambda c: c.semisimple)),
+                            applies=lambda c: c.report.semisimple)),
     "prop7.3": ("regular: H_L = H_R = H_H = H_E >= H_J",
-                _on_heights(lambda c: c.h["L"] == c.h["R"] == c.h["H"] == c.h_e >= c.h["J"],
-                            "LRJH", applies=lambda c: c.regular)),
+                _on_heights(lambda c: c.h["L"] == c.h["R"] == c.h["H"] == c.report.H_E >= c.h["J"],
+                            "LRJH", applies=lambda c: c.report.regular)),
     "prop7.5": ("regular and stable: all five heights coincide",
                 _on_heights(_five_equal, "LRJH",
-                            applies=lambda c: c.regular and _stable(c))),
+                            applies=lambda c: c.report.regular and _stable(c))),
     "cor7.7": ("regular: the five heights coincide exactly when stable",
                _on_heights(lambda c: _five_equal(c) == _stable(c), "LRJH",
-                           applies=lambda c: c.regular)),
+                           applies=lambda c: c.report.regular)),
 }
 
 CLAIM_STATEMENTS = {claim_id: statement for claim_id, (statement, _) in _REGISTRY.items()}
@@ -405,8 +397,9 @@ def analyze(s: FiniteSemigroup) -> HeightReport:
     """All five heights plus the structural flags for one semigroup.
 
     On small inputs the condensation heights are cross-checked against the
-    direct chain oracle, and regularity against semisimplicity on every
-    input; a mismatch is an internal error, never a report.
+    direct chain oracle. On every input both stabilities must hold,
+    regularity must agree with semisimplicity, and no power-to-subgroup
+    exponent may exceed H_H. A failure is an internal error, never a report.
     """
     heights = {rel: k_height(s, rel) for rel in ORDERED_RELATIONS}
     if s.order <= ORACLE_LIMIT:
@@ -419,14 +412,17 @@ def analyze(s: FiniteSemigroup) -> HeightReport:
     regular = is_regular(s)
     if is_semisimple(s) != regular:
         raise InternalCheckError("regularity and semisimplicity disagree")
+    left_stable, right_stable = is_left_stable(s), is_right_stable(s)
+    if not (left_stable and right_stable):
+        raise InternalCheckError("a validated finite semigroup failed the stability identity")
     return HeightReport(
         H_L=heights["L"],
         H_R=heights["R"],
         H_J=heights["J"],
         H_H=heights["H"],
         H_E=idempotent_height(s),
-        left_stable=is_left_stable(s),
-        right_stable=is_right_stable(s),
+        left_stable=left_stable,
+        right_stable=right_stable,
         group_bound=is_group_bound(s),
         regular=regular,
         inverse=is_inverse(s),

@@ -4,7 +4,7 @@ import itertools
 import random
 from functools import lru_cache
 
-from greenheights import build_semigroup, u_of
+from greenheights import Ideal, adjoin_identity, build_semigroup, rees_quotient, u_of
 from greenheights.constructions import WORD_LETTERS
 from greenheights.core import ideal_closure, unique_names
 from greenheights.errors import InternalCheckError, NoZeroError
@@ -414,6 +414,20 @@ def naive_u_of(s):
     if out.zero != x(z):
         raise InternalCheckError("the extension did not put its zero at x_z")
     return out
+
+
+def naive_nm_family(n, m):
+    """Oracle for ``nm_family``, kept from its first form, which recursed
+    once per adjoined identity; practical for small n only."""
+    if n == 1:
+        return build_semigroup([[0]], ["e"])
+    if m <= 2 ** (n - 1):
+        return adjoin_identity(naive_nm_family(n - 1, m - 1))
+    extended = u_of(naive_nm_family(n - 1, 2 ** (n - 1) - 1))
+    size = extended.order
+    right = k_classes(extended, "R")
+    tail = frozenset(a for a in range(size) if right.height[right.class_of[a]] <= size + 1 - m)
+    return rees_quotient(extended, Ideal(extended, tail))
 
 
 def naive_group_bound_exponents(s):

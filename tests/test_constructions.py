@@ -1,4 +1,7 @@
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +32,14 @@ from greenheights import (
 from greenheights.constructions import FIXTURE_NAMES
 from greenheights.recipes import build_from_string
 
-from helpers import adjoin_zero, census, cyclic_group, naive_squarefree_words, naive_u_of
+from helpers import (
+    adjoin_zero,
+    census,
+    cyclic_group,
+    naive_nm_family,
+    naive_squarefree_words,
+    naive_u_of,
+)
 
 
 def test_rees_quotient_by_everything_is_trivial():
@@ -143,6 +153,28 @@ def test_nm_family_full_sweep_small():
             assert k_height(s, "R") == m
             assert k_height(s, "J") == m
             assert k_classes(s, "J").class_count == m  # J-trivial
+
+
+def test_nm_family_equals_its_recursive_form_for_n_at_most_6():
+    pairs = [(n, m) for n in range(1, 7) for m in range(n, 2**n)]
+    assert len(pairs) == 105
+    for n, m in pairs:
+        got, want = nm_family(n, m), naive_nm_family(n, m)
+        assert got.table == want.table and got.names == want.names, (n, m)
+        assert (got.identity, got.zero) == (want.identity, want.zero), (n, m)
+        assert got.generators == want.generators, (n, m)
+
+
+def test_nm_family_recursion_does_not_grow_with_n():
+    # the recursive form needed one frame per adjoined identity: 400 here
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); sys.setrecursionlimit(200)\n"
+        "from greenheights import nm_family\n"
+        "assert nm_family(400, 400).order == 400"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
 
 
 def test_nm_family_rejects_out_of_range_parameters():

@@ -1,5 +1,6 @@
 import enum
 import itertools
+import pickle
 from functools import lru_cache
 
 import pytest
@@ -32,6 +33,7 @@ from greenheights.core import (
 )
 from greenheights.enumeration import associative_tables
 from greenheights.green import below_masks
+from greenheights.recipes import build_from_string
 
 from helpers import (
     census,
@@ -195,6 +197,29 @@ def test_greedy_generators_generate_the_census_and_constructions():
 )
 def test_tables_whose_generating_set_is_everything(table):
     assert _greedy_generators(table) == list(range(6))
+
+
+def _diagonal_idempotents(s):
+    return tuple(e for e in range(s.order) if s.table[e][e] == e)
+
+
+def test_idempotents_are_the_diagonal_fixed_points():
+    inputs = [s for order in range(1, 5) for s in census(order)]
+    inputs += [build_from_string(r) for r in ("sqfree:4", "asym:3", "fixture:fig1_u")]
+    for s in inputs:
+        assert s.idempotents == _diagonal_idempotents(s), s.table
+
+
+@pytest.mark.parametrize(
+    "table, want",
+    [(((0, 1, 2), (1, 1, 2), (2, 2, 2)), (0, 1, 2)), (((1, 0), (0, 1)), (1,))],
+    ids=["max-chain", "cyclic-2"],
+)
+def test_idempotents_of_a_direct_and_a_pickled_semigroup(table, want):
+    s = FiniteSemigroup(table)
+    again = pickle.loads(pickle.dumps(s))
+    assert again == s
+    assert s.idempotents == again.idempotents == _diagonal_idempotents(s) == want
 
 
 class _Small(enum.IntEnum):

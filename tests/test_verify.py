@@ -305,13 +305,12 @@ def test_claims_hold_across_the_order_three_census():
 
 def test_failed_inequality_claims_produce_chain_witnesses():
     # no real input can falsify these claims, so drive the failure branches
-    # by faking the cached heights on a context
+    # by faking the heights of the report a context reads
     from greenheights.verify import _Context, _EVALUATORS
 
     u2 = fixture("fig2_u2")
-    context = _Context(u2, analyze(u2))
-    context.h = dict(context.h)
-    context.h["J"] = 99
+    report = analyze(u2)
+    context = _Context(u2, dataclasses.replace(report, H_J=99))
     for claim_id in ("thm6.2", "thm6.5", "prop5.2.3"):
         outcome = _EVALUATORS[claim_id](context)
         assert outcome is not None
@@ -319,14 +318,11 @@ def test_failed_inequality_claims_produce_chain_witnesses():
         assert not holds
         assert witness and all(isinstance(w, str) and w for w in witness)
 
-    context = _Context(u2, analyze(u2))
-    context.h = dict(context.h)
-    context.h["H"] = 99
+    context = _Context(u2, dataclasses.replace(report, H_H=99))
     holds, witness = _EVALUATORS["prop3.5.3"](context)
     assert not holds and witness
 
-    context = _Context(u2, analyze(u2))
-    context.h_e = 99
+    context = _Context(u2, dataclasses.replace(report, H_E=99))
     holds, witness = _EVALUATORS["lem7.2"](context)
     assert not holds and witness
 
@@ -338,8 +334,7 @@ def test_lem34_fails_exactly_where_the_power_walk_does():
     for s in [s for order in range(1, 5) for s in census(order)] + named:
         report = analyze(s)
         for n in range(1, report.H_H + 1):
-            context = _Context(s, report)
-            context.h = dict(context.h, H=n)
+            context = _Context(s, dataclasses.replace(report, H_H=n))
             want = naive_lem34(s, n)
             assert verify_module._EVALUATORS["lem3.4"](context) == want, (s, n)
             failing += not want[0]
@@ -347,8 +342,9 @@ def test_lem34_fails_exactly_where_the_power_walk_does():
 
 
 # Each case forces the heights (L, R, J, H, E) and some flags on a real
-# context, then expects None (the claim does not apply), True (it holds) or
-# the relations whose longest chains make up the witness, in that order.
+# report, reads it through a context, then expects None (the claim does not
+# apply), True (it holds) or the relations whose longest chains make up the
+# witness, in that order.
 HEIGHTS_AND_FLAGS_CASES = {
     "prop3.5.3": [
         ((2, 3, 3, 2, 1), {}, True),
@@ -446,11 +442,10 @@ def test_claims_on_heights_and_flags_apply_hold_and_witness_as_stated(claim_id):
     u2 = fixture("fig2_u2")
     report = analyze(u2)
     for (h_l, h_r, h_j, h_h, h_e), flags, expected in HEIGHTS_AND_FLAGS_CASES[claim_id]:
-        context = _Context(u2, report)
-        context.h = {"L": h_l, "R": h_r, "J": h_j, "H": h_h}
-        context.h_e = h_e
-        for flag, value in flags.items():
-            setattr(context, flag, value)
+        forced = dataclasses.replace(
+            report, H_L=h_l, H_R=h_r, H_J=h_j, H_H=h_h, H_E=h_e, **flags
+        )
+        context = _Context(u2, forced)
         if expected is None:
             want = None
         elif expected is True:
@@ -474,13 +469,16 @@ def test_sweep_records_equal_analyze_and_check_claims_on_the_order_three_census(
         assert record["claims"] == [dataclasses.asdict(c) for c in check_claims(s)]
 
 
-@pytest.mark.parametrize("flag", ["left_stable", "right_stable"])
-def test_context_refuses_a_report_without_stability(flag):
-    from greenheights.verify import _Context
+@pytest.mark.parametrize("check", ["is_left_stable", "is_right_stable"])
+def test_analyze_refuses_a_semigroup_that_fails_stability(monkeypatch, capsys, check):
+    from greenheights import cli
 
-    s = fixture("fig2_u2")
-    with pytest.raises(InternalCheckError):
-        _Context(s, dataclasses.replace(analyze(s), **{flag: False}))
+    monkeypatch.setattr(verify_module, check, lambda s: False)
+    with pytest.raises(InternalCheckError, match="stability"):
+        analyze(fixture("fig2_u2"))
+    assert cli.main(["analyze", "fixture:fig2_u2"]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.startswith("internal cross-check failure:") for line in lines] == [True]
 
 
 def test_associativity_error_survives_pickling():
