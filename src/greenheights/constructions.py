@@ -10,9 +10,9 @@ import warnings
 from .core import (
     FiniteSemigroup,
     Ideal,
+    _adjoin_identities,
     _derived_semigroup,
     _picker,
-    adjoin_identity,
     build_semigroup,
     opposite,
     unique_names,
@@ -128,8 +128,8 @@ def nm_family(n: int, m: int) -> FiniteSemigroup:
     Valid for 1 <= n <= m <= 2**n - 1. Built recursively: the trivial
     semigroup at the base; an adjoined identity while m <= 2**(n-1); otherwise
     the null ideal extension of the previous full-range member, cut back by
-    the tail of its (total) R-order. The identities are adjoined in a loop,
-    so only the extension recurses, about log2(m) + 1 levels deep.
+    the tail of its (total) R-order. The identities are adjoined last, in
+    one table, so only the extension recurses, about log2(m) + 1 levels deep.
     """
     if n < 1 or m < n or m > 2**n - 1:
         raise RangeError(f"need 1 <= n <= m <= 2^n - 1, got n={n}, m={m}")
@@ -149,9 +149,7 @@ def nm_family(n: int, m: int) -> FiniteSemigroup:
         result = rees_quotient(extended, Ideal(extended, tail))
         if result.order != m:
             raise InternalCheckError(f"expected order {m}, built {result.order}")
-    for _ in range(adjoined):
-        result = adjoin_identity(result)
-    return result
+    return _adjoin_identities(result, adjoined) if adjoined else result
 
 
 def asym_family(n: int) -> FiniteSemigroup:

@@ -263,15 +263,22 @@ def adjoin_identity(s: FiniteSemigroup) -> FiniteSemigroup:
 
     A fresh element is added even when ``s`` already is a monoid.
     """
+    return _adjoin_identities(s, 1)
+
+
+def _adjoin_identities(s: FiniteSemigroup, k: int) -> FiniteSemigroup:
+    """``adjoin_identity`` applied k times, as one table: the fresh elements
+    e_0, ..., e_(k-1) get indices n, ..., n + k - 1, and e_i e_j = e_min(i,j)."""
     n = s.order
-    rows = [row + (a,) for a, row in enumerate(s.table)]
-    rows.append(tuple(range(n + 1)))
+    fresh = tuple(range(n, n + k))
+    rows = [row + (a,) * k for a, row in enumerate(s.table)]
+    rows += [tuple(range(n)) + fresh[:i] + (n + i,) * (k - i) for i in range(k)]
     names = None
     if s.names is not None:
-        names = tuple(unique_names(list(s.names) + ["1"]))
-    # the zero of S stays a zero; the fresh identity is never one
+        names = tuple(unique_names(list(s.names) + ["1"] * k))
+    # the zero of S stays a zero; a fresh identity is never one
     return _derived_semigroup(
-        tuple(rows), names, s.generators + (n,), _zero_candidates(s)
+        tuple(rows), names, s.generators + fresh, _zero_candidates(s)
     )
 
 

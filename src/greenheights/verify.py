@@ -7,6 +7,10 @@ bug shows up as many correlated failures instead of hiding behind the first.
 Facts that cannot fail on a validated finite input (stability, the two
 regularity criteria, the chain oracle, the exponent bound) make :func:`analyze`
 raise InternalCheckError, not a violation, as they can only mean a bug here.
+
+Claims decided by one comparison are :func:`_on_heights` entries. lem2.1,
+lem2.2, lem3.4, prop5.2.1, prop5.2.3, star and lem5.5.2 keep evaluators of their
+own: their witness names a scan's first failure or reuses sets the test computed.
 """
 
 from __future__ import annotations
@@ -85,6 +89,10 @@ def _chain(s: FiniteSemigroup, relation: str) -> str:
     return f"{relation}: " + " > ".join(names)
 
 
+def _chains(t: FiniteSemigroup, relations: str) -> tuple[str, ...]:
+    return tuple(_chain(t, rel) for rel in relations)
+
+
 def _set_names(s: FiniteSemigroup, elements) -> str:
     return "{" + ",".join(s.name_of(a) for a in sorted(elements)) + "}"
 
@@ -115,6 +123,10 @@ class _Context:
         return left_socle(self.s)
 
     @cached_property
+    def socle_quotient(self) -> FiniteSemigroup:
+        return self.quotient(self.socle)
+
+    @cached_property
     def extension(self) -> FiniteSemigroup:
         return u_of(self.s)
 
@@ -122,8 +134,7 @@ class _Context:
     def ideal_family(self) -> list[Ideal]:
         family = {self.minimal.members: self.minimal}
         if self.s.zero is not None:
-            soc = self.socle
-            family.setdefault(soc.members, soc)
+            family.setdefault(self.socle.members, self.socle)
         if self.s.order <= PRINCIPAL_IDEAL_LIMIT:
             # one principal ideal per J-class: the class and every class below it
             j = k_classes(self.s, "J")
@@ -150,8 +161,7 @@ def _eval_lem21(c: _Context):
 def _eval_lem22(c: _Context):
     minimal = c.minimal.members
     union_h = minimal_class_union(c.s, "H")
-    ok = union_h == minimal and k_height(_restrict(c.s, minimal), "H") == 1
-    if ok:
+    if union_h == minimal and k_height(_restrict(c.s, minimal), "H") == 1:
         return True, None
     return False, (
         f"minimal H-union {_set_names(c.s, union_h)}",
@@ -206,52 +216,8 @@ def _eval_star(c: _Context):
     return True, None
 
 
-def _eval_thm531(c: _Context):
-    if c.s.zero is None or c.s.order < 2:
-        return None
-    q = c.quotient(c.socle)
-    if c.h["L"] == k_height(q, "L") + 1:
-        return True, None
-    return False, (
-        f"left socle {_set_names(c.s, c.socle.members)}",
-        _chain(c.s, "L"),
-        _chain(q, "L"),
-    )
-
-
-def _eval_thm532(c: _Context):
-    if c.s.zero is None:
-        return None
-    q = c.quotient(c.socle)
-    if c.h["R"] <= 2 * k_height(q, "R") + 1:
-        return True, None
-    return False, (_chain(c.s, "R"), _chain(q, "R"))
-
-
-def _eval_thm532_internal(c: _Context):
-    if c.s.zero is None:
-        return None
-    soc = c.socle
-    q = c.quotient(soc)
-    if height_within_ideal(c.s, soc, "R") <= k_height(q, "R") + 2:
-        return True, None
-    return False, (
-        f"left socle {_set_names(c.s, soc.members)}",
-        _chain(c.s, "R"),
-    )
-
-
-def _eval_thm533(c: _Context):
-    if c.s.zero is None:
-        return None
-    q = c.quotient(c.socle)
-    if c.h["J"] <= k_height(q, "R") + k_height(q, "J") + 1:
-        return True, None
-    return False, (_chain(c.s, "J"), _chain(q, "R"), _chain(q, "J"))
-
-
 def _eval_lem552(c: _Context):
-    if c.s.zero is None:
+    if not _has_zero(c):
         return None
     s = c.s
     n = s.order
@@ -276,39 +242,27 @@ def _eval_lem552(c: _Context):
     return True, None
 
 
-def _eval_prop56(c: _Context):
-    if c.s.zero is None:
-        return None
-    u = c.extension
-    ok = (
-        k_height(u, "L") == c.h["L"] + 1
-        and k_height(u, "R") == 2 * c.h["R"] + 1
-    )
-    if ok:
-        return True, None
-    return False, (_chain(u, "L"), _chain(u, "R"))
-
-
-def _eval_lem72(c: _Context):
-    if c.report.H_E <= min(c.h["L"], c.h["R"], c.h["H"]):
-        return True, None
-    return False, (f"idempotents {_set_names(c.s, c.s.idempotents)}",)
-
-
-def _on_heights(holds, witness: str, applies=None):
-    """The evaluator of a claim on the heights and flags alone: None where
-    ``applies`` is false, else whether ``holds``, with the longest chain of
-    each relation in ``witness``, in that order, when it does not. Both
-    predicates read the context when called."""
+def _on_heights(holds, witness, applies=None):
+    """The evaluator of a claim decided by one comparison, on S, its socle
+    quotient or U(S): None where ``applies`` is false, else whether ``holds``,
+    with what ``witness`` returns when not. All three take the context."""
 
     def evaluate(c: _Context):
         if applies is not None and not applies(c):
             return None
         if holds(c):
             return True, None
-        return False, tuple(_chain(c.s, rel) for rel in witness)
+        return False, witness(c)
 
     return evaluate
+
+
+def _has_zero(c: _Context) -> bool:
+    return c.s.zero is not None
+
+
+def _socle_name(c: _Context) -> str:
+    return f"left socle {_set_names(c.s, c.socle.members)}"
 
 
 def _five_equal(c: _Context) -> bool:
@@ -330,61 +284,82 @@ _REGISTRY = {
     "lem3.4": ("with n = H_H, every element satisfies a^n H a^(2n)", _eval_lem34),
     "prop3.5.3": ("H_H <= min(H_L, H_R) and max(H_L, H_R) <= H_J",
                   _on_heights(lambda c: c.h["H"] <= min(c.h["L"], c.h["R"])
-                              and max(c.h["L"], c.h["R"]) <= c.h["J"], "LRJH")),
+                              and max(c.h["L"], c.h["R"]) <= c.h["J"],
+                              lambda c: _chains(c.s, "LRJH"))),
     "prop4.1": ("H_L = 1 iff H_J = 1 with left stability, and dually for H_R",
                 _on_heights(lambda c: ((c.h["L"] == 1) == (c.h["J"] == 1 and c.report.left_stable))
                             and ((c.h["R"] == 1) == (c.h["J"] == 1 and c.report.right_stable)),
-                            "LRJ")),
+                            lambda c: _chains(c.s, "LRJ"))),
     "prop4.2": ("H_L = 1, H_R = 1, H_H = 1 and H_J = 1 are all equivalent",
-                _on_heights(lambda c: len({c.h[rel] == 1 for rel in "LRJH"}) == 1, "LRJH")),
+                _on_heights(lambda c: len({c.h[rel] == 1 for rel in "LRJH"}) == 1,
+                            lambda c: _chains(c.s, "LRJH"))),
     "prop4.3": ("a side height of 2 forces H_J into {2, 3}",
-                _on_heights(lambda c: c.h["J"] in (2, 3), "J",
+                _on_heights(lambda c: c.h["J"] in (2, 3), lambda c: _chains(c.s, "J"),
                             applies=lambda c: 2 in (c.h["L"], c.h["R"]))),
     "prop4.4": ("H_L = 2 forces H_H = 2 and H_R = H_J in {2, 3}",
                 _on_heights(lambda c: c.h["H"] == 2 and c.h["R"] == c.h["J"]
                             and c.h["J"] in (2, 3),
-                            "HRJ", applies=lambda c: c.h["L"] == 2)),
+                            lambda c: _chains(c.s, "HRJ"), applies=lambda c: c.h["L"] == 2)),
     "prop5.2.1": ("no height grows when an ideal is collapsed to a zero", _eval_prop521),
     "prop5.2.3": ("collapsing the (completely simple) minimal ideal preserves "
                   "H_L, H_R and H_J",
                   _eval_prop523),
     "star": ("H_K <= H_K-within-I + H_K(quotient) - 1 for every ideal I", _eval_star),
-    "thm5.3.1": ("collapsing the left socle lowers H_L by exactly one", _eval_thm531),
-    "thm5.3.2": ("H_R <= 2*H_R(quotient by left socle) + 1", _eval_thm532),
+    "thm5.3.1": ("collapsing the left socle lowers H_L by exactly one",
+                 _on_heights(lambda c: c.h["L"] == k_height(c.socle_quotient, "L") + 1,
+                             lambda c: (_socle_name(c), *_chains(c.s, "L"),
+                                        *_chains(c.socle_quotient, "L")),
+                             applies=lambda c: _has_zero(c) and c.s.order >= 2)),
+    "thm5.3.2": ("H_R <= 2*H_R(quotient by left socle) + 1",
+                 _on_heights(lambda c: c.h["R"] <= 2 * k_height(c.socle_quotient, "R") + 1,
+                             lambda c: _chains(c.s, "R") + _chains(c.socle_quotient, "R"),
+                             applies=_has_zero)),
     "thm5.3.2-internal": ("the R-height within the left socle is at most "
                           "H_R(quotient) + 2",
-                          _eval_thm532_internal),
+                          _on_heights(lambda c: height_within_ideal(c.s, c.socle, "R")
+                                      <= k_height(c.socle_quotient, "R") + 2,
+                                      lambda c: (_socle_name(c), *_chains(c.s, "R")),
+                                      applies=_has_zero)),
     "thm5.3.3": ("H_J <= H_R(quotient) + H_J(quotient) + 1 for the left socle",
-                 _eval_thm533),
+                 _on_heights(lambda c: c.h["J"] <= k_height(c.socle_quotient, "R")
+                             + k_height(c.socle_quotient, "J") + 1,
+                             lambda c: _chains(c.s, "J") + _chains(c.socle_quotient, "RJ"),
+                             applies=_has_zero)),
     "lem5.5.2": ("the left socle of the null ideal extension is the fresh "
                  "part plus the old zero, and the quotient is the original",
                  _eval_lem552),
     "prop5.6": ("the null ideal extension sends H_L to H_L + 1 and H_R to "
                 "2*H_R + 1",
-                _eval_prop56),
+                _on_heights(lambda c: k_height(c.extension, "L") == c.h["L"] + 1
+                            and k_height(c.extension, "R") == 2 * c.h["R"] + 1,
+                            lambda c: _chains(c.extension, "LR"), applies=_has_zero)),
     "thm6.1": ("ceil(log2(H_L + 1)) <= H_R <= 2^H_L - 1",
                _on_heights(lambda c: c.h["L"].bit_length() <= c.h["R"] <= 2 ** c.h["L"] - 1,
-                           "LR")),
+                           lambda c: _chains(c.s, "LR"))),
     "thm6.2": ("H_L <= H_J <= 2^H_L - 1",
-               _on_heights(lambda c: c.h["L"] <= c.h["J"] <= 2 ** c.h["L"] - 1, "LJ")),
+               _on_heights(lambda c: c.h["L"] <= c.h["J"] <= 2 ** c.h["L"] - 1,
+                           lambda c: _chains(c.s, "LJ"))),
     "thm6.5": ("with both side heights >= 2, max(H_L, H_R) <= H_J <= "
                "min(2^min - 1, H_L + H_R - 2)",
                _on_heights(lambda c: max(c.h["L"], c.h["R"]) <= c.h["J"]
                            <= min(2 ** min(c.h["L"], c.h["R"]) - 1, c.h["L"] + c.h["R"] - 2),
-                           "LRJ", applies=lambda c: min(c.h["L"], c.h["R"]) >= 2)),
-    "lem7.2": ("H_E <= min(H_L, H_R, H_H)", _eval_lem72),
+                           lambda c: _chains(c.s, "LRJ"),
+                           applies=lambda c: min(c.h["L"], c.h["R"]) >= 2)),
+    "lem7.2": ("H_E <= min(H_L, H_R, H_H)",
+               _on_heights(lambda c: c.report.H_E <= min(c.h["L"], c.h["R"], c.h["H"]),
+                           lambda c: (f"idempotents {_set_names(c.s, c.s.idempotents)}",))),
     "prop7.1": ("semisimple: H_J <= min(H_L, H_R)",
-                _on_heights(lambda c: c.h["J"] <= min(c.h["L"], c.h["R"]), "J",
-                            applies=lambda c: c.report.semisimple)),
+                _on_heights(lambda c: c.h["J"] <= min(c.h["L"], c.h["R"]),
+                            lambda c: _chains(c.s, "J"), applies=lambda c: c.report.semisimple)),
     "prop7.3": ("regular: H_L = H_R = H_H = H_E >= H_J",
                 _on_heights(lambda c: c.h["L"] == c.h["R"] == c.h["H"] == c.report.H_E >= c.h["J"],
-                            "LRJH", applies=lambda c: c.report.regular)),
+                            lambda c: _chains(c.s, "LRJH"), applies=lambda c: c.report.regular)),
     "prop7.5": ("regular and stable: all five heights coincide",
-                _on_heights(_five_equal, "LRJH",
+                _on_heights(_five_equal, lambda c: _chains(c.s, "LRJH"),
                             applies=lambda c: c.report.regular and _stable(c))),
     "cor7.7": ("regular: the five heights coincide exactly when stable",
-               _on_heights(lambda c: _five_equal(c) == _stable(c), "LRJH",
-                           applies=lambda c: c.report.regular)),
+               _on_heights(lambda c: _five_equal(c) == _stable(c),
+                           lambda c: _chains(c.s, "LRJH"), applies=lambda c: c.report.regular)),
 }
 
 CLAIM_STATEMENTS = {claim_id: statement for claim_id, (statement, _) in _REGISTRY.items()}

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from greenheights import (
+    FiniteSemigroup,
     Ideal,
     InvalidIdealError,
     NoZeroError,
@@ -175,6 +176,20 @@ def test_nm_family_recursion_does_not_grow_with_n():
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr.decode()
+
+
+def test_nm_family_builds_a_number_of_tables_logarithmic_in_m(monkeypatch):
+    # adjoining the 49 identities one at a time built 50 tables here
+    built = []
+    post_init = FiniteSemigroup.__post_init__
+
+    def counted(self):
+        built.append(self.order)
+        post_init(self)
+
+    monkeypatch.setattr(FiniteSemigroup, "__post_init__", counted)
+    assert nm_family(50, 50).order == 50
+    assert len(built) <= 2 * (50).bit_length() + 1, built
 
 
 def test_nm_family_rejects_out_of_range_parameters():

@@ -327,6 +327,54 @@ def test_failed_inequality_claims_produce_chain_witnesses():
     assert not holds and witness
 
 
+# Each case forces one claim on the socle quotient, U(S) or the idempotents to
+# fail, by one report height set to 99 (None: the R-height within the left
+# socle is faked instead), and pins its whole outcome. On fig2_u2 the R-chains
+# of S and of its socle quotient render alike, so fig1_u tells them apart.
+FORCED_FAILURE_CASES = [
+    ("fixture:fig2_u2", "thm5.3.1", "H_L",
+     ("left socle {b,d,0}", "L: a > b > 0", "L: a > 0")),
+    ("fixture:fig2_u2", "thm5.3.2", "H_R", ("R: a > c > 0", "R: a > c > 0")),
+    ("fixture:fig2_u2", "thm5.3.2-internal", None, ("left socle {b,d,0}", "R: a > c > 0")),
+    ("fixture:fig2_u2", "thm5.3.3", "H_J",
+     ("J: a > b > d > 0", "R: a > c > 0", "J: a > c > 0")),
+    ("fixture:fig2_u2", "prop5.6", "H_L",
+     ("L: a > b > 0 > x_0", "R: a > c > 0 > x_1 > x_a > x_c > x_0")),
+    ("fixture:fig2_u2", "lem7.2", "H_E", ("idempotents {a,0}",)),
+    ("fixture:fig1_u", "thm5.3.1", "H_L",
+     ("left socle {z,x_1,x_e,x_a,x_z}", "L: e > z > x_z", "L: e > 0")),
+    ("fixture:fig1_u", "thm5.3.2", "H_R",
+     ("R: e > a > z > x_1 > x_e > x_a > x_z", "R: e > a > 0")),
+    ("fixture:fig1_u", "thm5.3.2-internal", None,
+     ("left socle {z,x_1,x_e,x_a,x_z}", "R: e > a > z > x_1 > x_e > x_a > x_z")),
+    ("fixture:fig1_u", "thm5.3.3", "H_J",
+     ("J: e > a > z > x_1 > x_e > x_a > x_z", "R: e > a > 0", "J: e > a > 0")),
+    ("fixture:fig1_u", "prop5.6", "H_L",
+     ("L: e > z > x_z > x_x_z",
+      "R: e > a > z > x_1 > x_e > x_a > x_z > x_1' > x_e' > x_a' > x_z'"
+      " > x_x_1 > x_x_e > x_x_a > x_x_z")),
+    ("fixture:fig1_u", "lem7.2", "H_E", ("idempotents {e,z,x_z}",)),
+]
+
+
+@pytest.mark.parametrize(
+    "source, claim_id, field, witness",
+    FORCED_FAILURE_CASES,
+    ids=[f"{source.split(':')[1]}-{claim_id}" for source, claim_id, _, _ in FORCED_FAILURE_CASES],
+)
+def test_forced_failures_of_socle_extension_and_idempotent_claims_name_their_witness(
+    monkeypatch, source, claim_id, field, witness
+):
+    s = build_from_string(source)
+    report = analyze(s)
+    if field is None:
+        monkeypatch.setattr(verify_module, "height_within_ideal", lambda *args: 99)
+    else:
+        report = dataclasses.replace(report, **{field: 99})
+    outcome = verify_module._EVALUATORS[claim_id](_Context(s, report))
+    assert outcome == (False, witness)
+
+
 def test_lem34_fails_exactly_where_the_power_walk_does():
     # no input falsifies lem3.4, so lower H_H to every value up to the true one
     named = [build_from_string(r) for r in ("sqfree:4", "asym:3", "nm:4,11", "fixture:fig1_u")]
