@@ -8,9 +8,9 @@ Facts that cannot fail on a validated finite input (stability, the two
 regularity criteria, the chain oracle, the exponent bound) make :func:`analyze`
 raise InternalCheckError, not a violation, as they can only mean a bug here.
 
-Claims decided by one comparison are :func:`_on_heights` entries. lem2.1,
-lem2.2, lem3.4, prop5.2.1, prop5.2.3, star and lem5.5.2 keep evaluators of their
-own: their witness names a scan's first failure or reuses sets the test computed.
+Every claim but lem5.5.2 is a :func:`_claim` entry: a test checked on each of
+the claim's cases until one fails. lem5.5.2 keeps an evaluator of its own, as
+its two stages (the socle of U(S), then a differing cell) share no case type.
 """
 
 from __future__ import annotations
@@ -147,75 +147,6 @@ class _Context:
         ]
 
 
-def _eval_lem21(c: _Context):
-    union_l = minimal_class_union(c.s, "L")
-    union_r = minimal_class_union(c.s, "R")
-    if union_l == union_r == c.minimal.members:
-        return True, None
-    return False, (
-        f"minimal L-union {_set_names(c.s, union_l)}",
-        f"minimal R-union {_set_names(c.s, union_r)}",
-    )
-
-
-def _eval_lem22(c: _Context):
-    minimal = c.minimal.members
-    union_h = minimal_class_union(c.s, "H")
-    if union_h == minimal and k_height(_restrict(c.s, minimal), "H") == 1:
-        return True, None
-    return False, (
-        f"minimal H-union {_set_names(c.s, union_h)}",
-        f"minimal ideal {_set_names(c.s, minimal)}",
-    )
-
-
-def _eval_lem34(c: _Context):
-    # a^k H a^(2k) holds exactly from the index of a on, the least such k
-    n = c.h["H"]
-    for a, k in enumerate(group_bound_exponents(c.s)):
-        if k > n:
-            name = c.s.name_of(a)
-            return False, (f"{name}^{n} and {name}^{2 * n} are not H-related",)
-    return True, None
-
-
-def _eval_prop521(c: _Context):
-    for ideal in c.ideal_family:
-        q = c.quotient(ideal)
-        for rel in ("L", "R", "J"):
-            if c.h[rel] < k_height(q, rel):
-                return False, (
-                    f"ideal {_set_names(c.s, ideal.members)}",
-                    _chain(q, rel),
-                )
-    return True, None
-
-
-def _eval_prop523(c: _Context):
-    q = c.quotient(c.minimal)
-    for rel in ("L", "R", "J"):
-        if c.h[rel] != k_height(q, rel):
-            return False, (
-                f"minimal ideal {_set_names(c.s, c.minimal.members)}",
-                _chain(c.s, rel),
-                _chain(q, rel),
-            )
-    return True, None
-
-
-def _eval_star(c: _Context):
-    for ideal in c.ideal_family:
-        q = c.quotient(ideal)
-        for rel in ORDERED_RELATIONS:
-            inside = height_within_ideal(c.s, ideal, rel)
-            if c.h[rel] > inside + k_height(q, rel) - 1:
-                return False, (
-                    f"ideal {_set_names(c.s, ideal.members)}",
-                    _chain(c.s, rel),
-                )
-    return True, None
-
-
 def _eval_lem552(c: _Context):
     if not _has_zero(c):
         return None
@@ -242,23 +173,47 @@ def _eval_lem552(c: _Context):
     return True, None
 
 
-def _on_heights(holds, witness, applies=None):
-    """The evaluator of a claim decided by one comparison, on S, its socle
-    quotient or U(S): None where ``applies`` is false, else whether ``holds``,
-    with what ``witness`` returns when not. All three take the context."""
+def _once(c: _Context):
+    return ((),)
+
+
+def _per_ideal(ideals, relations):
+    """The cases (I, S/I, K) of a claim on Rees quotients: each ideal I that
+    ``ideals`` takes from the context, then each relation K, ideal-major."""
+
+    def cases(c: _Context):
+        for ideal in ideals(c):
+            q = c.quotient(ideal)
+            for rel in relations:
+                yield ideal, q, rel
+
+    return cases
+
+
+def _claim(holds, witness, applies=None, cases=_once):
+    """The evaluator of a claim: None where ``applies`` is false, else whether
+    ``holds`` is true on every case that ``cases`` yields, with what
+    ``witness`` returns on the first case that fails. ``holds`` and ``witness``
+    take the context and the case's items; ``applies`` and ``cases`` take the
+    context. The one empty case of ``_once`` makes a single comparison."""
 
     def evaluate(c: _Context):
         if applies is not None and not applies(c):
             return None
-        if holds(c):
-            return True, None
-        return False, witness(c)
+        for case in cases(c):
+            if not holds(c, *case):
+                return False, witness(c, *case)
+        return True, None
 
     return evaluate
 
 
 def _has_zero(c: _Context) -> bool:
     return c.s.zero is not None
+
+
+def _union_name(c: _Context, relation: str) -> str:
+    return f"minimal {relation}-union {_set_names(c.s, minimal_class_union(c.s, relation))}"
 
 
 def _socle_name(c: _Context) -> str:
@@ -277,89 +232,112 @@ def _stable(c: _Context) -> bool:
 _REGISTRY = {
     "lem2.1": ("the minimal two-sided class equals the union of the minimal "
                "left classes and the union of the minimal right classes",
-               _eval_lem21),
+               _claim(lambda c: minimal_class_union(c.s, "L")
+                      == minimal_class_union(c.s, "R") == c.minimal.members,
+                      lambda c: (_union_name(c, "L"), _union_name(c, "R")))),
     "lem2.2": ("the minimal ideal is completely simple and is the union of the "
                "minimal H-classes",
-               _eval_lem22),
-    "lem3.4": ("with n = H_H, every element satisfies a^n H a^(2n)", _eval_lem34),
+               _claim(lambda c: c.minimal.members == minimal_class_union(c.s, "H")
+                      and k_height(_restrict(c.s, c.minimal.members), "H") == 1,
+                      lambda c: (_union_name(c, "H"),
+                                 f"minimal ideal {_set_names(c.s, c.minimal.members)}"))),
+    # a^k H a^(2k) holds exactly from the index of a on, the least such k
+    "lem3.4": ("with n = H_H, every element satisfies a^n H a^(2n)",
+               _claim(lambda c, a, k: k <= c.h["H"],
+                      lambda c, a, k: (f"{c.s.name_of(a)}^{c.h['H']} and "
+                                       f"{c.s.name_of(a)}^{2 * c.h['H']} are not H-related",),
+                      cases=lambda c: enumerate(group_bound_exponents(c.s)))),
     "prop3.5.3": ("H_H <= min(H_L, H_R) and max(H_L, H_R) <= H_J",
-                  _on_heights(lambda c: c.h["H"] <= min(c.h["L"], c.h["R"])
-                              and max(c.h["L"], c.h["R"]) <= c.h["J"],
-                              lambda c: _chains(c.s, "LRJH"))),
+                  _claim(lambda c: c.h["H"] <= min(c.h["L"], c.h["R"])
+                         and max(c.h["L"], c.h["R"]) <= c.h["J"],
+                         lambda c: _chains(c.s, "LRJH"))),
     "prop4.1": ("H_L = 1 iff H_J = 1 with left stability, and dually for H_R",
-                _on_heights(lambda c: ((c.h["L"] == 1) == (c.h["J"] == 1 and c.report.left_stable))
-                            and ((c.h["R"] == 1) == (c.h["J"] == 1 and c.report.right_stable)),
-                            lambda c: _chains(c.s, "LRJ"))),
+                _claim(lambda c: ((c.h["L"] == 1) == (c.h["J"] == 1 and c.report.left_stable))
+                       and ((c.h["R"] == 1) == (c.h["J"] == 1 and c.report.right_stable)),
+                       lambda c: _chains(c.s, "LRJ"))),
     "prop4.2": ("H_L = 1, H_R = 1, H_H = 1 and H_J = 1 are all equivalent",
-                _on_heights(lambda c: len({c.h[rel] == 1 for rel in "LRJH"}) == 1,
-                            lambda c: _chains(c.s, "LRJH"))),
+                _claim(lambda c: len({c.h[rel] == 1 for rel in "LRJH"}) == 1,
+                       lambda c: _chains(c.s, "LRJH"))),
     "prop4.3": ("a side height of 2 forces H_J into {2, 3}",
-                _on_heights(lambda c: c.h["J"] in (2, 3), lambda c: _chains(c.s, "J"),
-                            applies=lambda c: 2 in (c.h["L"], c.h["R"]))),
+                _claim(lambda c: c.h["J"] in (2, 3), lambda c: _chains(c.s, "J"),
+                       applies=lambda c: 2 in (c.h["L"], c.h["R"]))),
     "prop4.4": ("H_L = 2 forces H_H = 2 and H_R = H_J in {2, 3}",
-                _on_heights(lambda c: c.h["H"] == 2 and c.h["R"] == c.h["J"]
-                            and c.h["J"] in (2, 3),
-                            lambda c: _chains(c.s, "HRJ"), applies=lambda c: c.h["L"] == 2)),
-    "prop5.2.1": ("no height grows when an ideal is collapsed to a zero", _eval_prop521),
+                _claim(lambda c: c.h["H"] == 2 and c.h["R"] == c.h["J"]
+                       and c.h["J"] in (2, 3),
+                       lambda c: _chains(c.s, "HRJ"), applies=lambda c: c.h["L"] == 2)),
+    "prop5.2.1": ("no height grows when an ideal is collapsed to a zero",
+                  _claim(lambda c, ideal, q, rel: c.h[rel] >= k_height(q, rel),
+                         lambda c, ideal, q, rel: (f"ideal {_set_names(c.s, ideal.members)}",
+                                                   _chain(q, rel)),
+                         cases=_per_ideal(lambda c: c.ideal_family, "LRJ"))),
     "prop5.2.3": ("collapsing the (completely simple) minimal ideal preserves "
                   "H_L, H_R and H_J",
-                  _eval_prop523),
-    "star": ("H_K <= H_K-within-I + H_K(quotient) - 1 for every ideal I", _eval_star),
+                  _claim(lambda c, ideal, q, rel: c.h[rel] == k_height(q, rel),
+                         lambda c, ideal, q, rel: (
+                             f"minimal ideal {_set_names(c.s, ideal.members)}",
+                             _chain(c.s, rel), _chain(q, rel)),
+                         cases=_per_ideal(lambda c: [c.minimal], "LRJ"))),
+    "star": ("H_K <= H_K-within-I + H_K(quotient) - 1 for every ideal I",
+             _claim(lambda c, ideal, q, rel: c.h[rel]
+                    <= height_within_ideal(c.s, ideal, rel) + k_height(q, rel) - 1,
+                    lambda c, ideal, q, rel: (f"ideal {_set_names(c.s, ideal.members)}",
+                                              _chain(c.s, rel)),
+                    cases=_per_ideal(lambda c: c.ideal_family, ORDERED_RELATIONS))),
     "thm5.3.1": ("collapsing the left socle lowers H_L by exactly one",
-                 _on_heights(lambda c: c.h["L"] == k_height(c.socle_quotient, "L") + 1,
-                             lambda c: (_socle_name(c), *_chains(c.s, "L"),
-                                        *_chains(c.socle_quotient, "L")),
-                             applies=lambda c: _has_zero(c) and c.s.order >= 2)),
+                 _claim(lambda c: c.h["L"] == k_height(c.socle_quotient, "L") + 1,
+                        lambda c: (_socle_name(c), *_chains(c.s, "L"),
+                                   *_chains(c.socle_quotient, "L")),
+                        applies=lambda c: _has_zero(c) and c.s.order >= 2)),
     "thm5.3.2": ("H_R <= 2*H_R(quotient by left socle) + 1",
-                 _on_heights(lambda c: c.h["R"] <= 2 * k_height(c.socle_quotient, "R") + 1,
-                             lambda c: _chains(c.s, "R") + _chains(c.socle_quotient, "R"),
-                             applies=_has_zero)),
+                 _claim(lambda c: c.h["R"] <= 2 * k_height(c.socle_quotient, "R") + 1,
+                        lambda c: _chains(c.s, "R") + _chains(c.socle_quotient, "R"),
+                        applies=_has_zero)),
     "thm5.3.2-internal": ("the R-height within the left socle is at most "
                           "H_R(quotient) + 2",
-                          _on_heights(lambda c: height_within_ideal(c.s, c.socle, "R")
-                                      <= k_height(c.socle_quotient, "R") + 2,
-                                      lambda c: (_socle_name(c), *_chains(c.s, "R")),
-                                      applies=_has_zero)),
+                          _claim(lambda c: height_within_ideal(c.s, c.socle, "R")
+                                 <= k_height(c.socle_quotient, "R") + 2,
+                                 lambda c: (_socle_name(c), *_chains(c.s, "R")),
+                                 applies=_has_zero)),
     "thm5.3.3": ("H_J <= H_R(quotient) + H_J(quotient) + 1 for the left socle",
-                 _on_heights(lambda c: c.h["J"] <= k_height(c.socle_quotient, "R")
-                             + k_height(c.socle_quotient, "J") + 1,
-                             lambda c: _chains(c.s, "J") + _chains(c.socle_quotient, "RJ"),
-                             applies=_has_zero)),
+                 _claim(lambda c: c.h["J"] <= k_height(c.socle_quotient, "R")
+                        + k_height(c.socle_quotient, "J") + 1,
+                        lambda c: _chains(c.s, "J") + _chains(c.socle_quotient, "RJ"),
+                        applies=_has_zero)),
     "lem5.5.2": ("the left socle of the null ideal extension is the fresh "
                  "part plus the old zero, and the quotient is the original",
                  _eval_lem552),
     "prop5.6": ("the null ideal extension sends H_L to H_L + 1 and H_R to "
                 "2*H_R + 1",
-                _on_heights(lambda c: k_height(c.extension, "L") == c.h["L"] + 1
-                            and k_height(c.extension, "R") == 2 * c.h["R"] + 1,
-                            lambda c: _chains(c.extension, "LR"), applies=_has_zero)),
+                _claim(lambda c: k_height(c.extension, "L") == c.h["L"] + 1
+                       and k_height(c.extension, "R") == 2 * c.h["R"] + 1,
+                       lambda c: _chains(c.extension, "LR"), applies=_has_zero)),
     "thm6.1": ("ceil(log2(H_L + 1)) <= H_R <= 2^H_L - 1",
-               _on_heights(lambda c: c.h["L"].bit_length() <= c.h["R"] <= 2 ** c.h["L"] - 1,
-                           lambda c: _chains(c.s, "LR"))),
+               _claim(lambda c: c.h["L"].bit_length() <= c.h["R"] <= 2 ** c.h["L"] - 1,
+                      lambda c: _chains(c.s, "LR"))),
     "thm6.2": ("H_L <= H_J <= 2^H_L - 1",
-               _on_heights(lambda c: c.h["L"] <= c.h["J"] <= 2 ** c.h["L"] - 1,
-                           lambda c: _chains(c.s, "LJ"))),
+               _claim(lambda c: c.h["L"] <= c.h["J"] <= 2 ** c.h["L"] - 1,
+                      lambda c: _chains(c.s, "LJ"))),
     "thm6.5": ("with both side heights >= 2, max(H_L, H_R) <= H_J <= "
                "min(2^min - 1, H_L + H_R - 2)",
-               _on_heights(lambda c: max(c.h["L"], c.h["R"]) <= c.h["J"]
-                           <= min(2 ** min(c.h["L"], c.h["R"]) - 1, c.h["L"] + c.h["R"] - 2),
-                           lambda c: _chains(c.s, "LRJ"),
-                           applies=lambda c: min(c.h["L"], c.h["R"]) >= 2)),
+               _claim(lambda c: max(c.h["L"], c.h["R"]) <= c.h["J"]
+                      <= min(2 ** min(c.h["L"], c.h["R"]) - 1, c.h["L"] + c.h["R"] - 2),
+                      lambda c: _chains(c.s, "LRJ"),
+                      applies=lambda c: min(c.h["L"], c.h["R"]) >= 2)),
     "lem7.2": ("H_E <= min(H_L, H_R, H_H)",
-               _on_heights(lambda c: c.report.H_E <= min(c.h["L"], c.h["R"], c.h["H"]),
-                           lambda c: (f"idempotents {_set_names(c.s, c.s.idempotents)}",))),
+               _claim(lambda c: c.report.H_E <= min(c.h["L"], c.h["R"], c.h["H"]),
+                      lambda c: (f"idempotents {_set_names(c.s, c.s.idempotents)}",))),
     "prop7.1": ("semisimple: H_J <= min(H_L, H_R)",
-                _on_heights(lambda c: c.h["J"] <= min(c.h["L"], c.h["R"]),
-                            lambda c: _chains(c.s, "J"), applies=lambda c: c.report.semisimple)),
+                _claim(lambda c: c.h["J"] <= min(c.h["L"], c.h["R"]),
+                       lambda c: _chains(c.s, "J"), applies=lambda c: c.report.semisimple)),
     "prop7.3": ("regular: H_L = H_R = H_H = H_E >= H_J",
-                _on_heights(lambda c: c.h["L"] == c.h["R"] == c.h["H"] == c.report.H_E >= c.h["J"],
-                            lambda c: _chains(c.s, "LRJH"), applies=lambda c: c.report.regular)),
+                _claim(lambda c: c.h["L"] == c.h["R"] == c.h["H"] == c.report.H_E >= c.h["J"],
+                       lambda c: _chains(c.s, "LRJH"), applies=lambda c: c.report.regular)),
     "prop7.5": ("regular and stable: all five heights coincide",
-                _on_heights(_five_equal, lambda c: _chains(c.s, "LRJH"),
-                            applies=lambda c: c.report.regular and _stable(c))),
+                _claim(_five_equal, lambda c: _chains(c.s, "LRJH"),
+                       applies=lambda c: c.report.regular and _stable(c))),
     "cor7.7": ("regular: the five heights coincide exactly when stable",
-               _on_heights(lambda c: _five_equal(c) == _stable(c),
-                           lambda c: _chains(c.s, "LRJH"), applies=lambda c: c.report.regular)),
+               _claim(lambda c: _five_equal(c) == _stable(c),
+                      lambda c: _chains(c.s, "LRJH"), applies=lambda c: c.report.regular)),
 }
 
 CLAIM_STATEMENTS = {claim_id: statement for claim_id, (statement, _) in _REGISTRY.items()}

@@ -126,6 +126,16 @@ def test_no_preorder_for_d():
         k_height(fixture("fig1_s"), "D")
 
 
+def test_k_classes_refuses_an_unknown_relation_on_either_route():
+    # the Cayley-graph route's successor lists would read any relation but L
+    # and R as J, so the refusal must not depend on the route
+    tables = [build_from_string(recipe) for recipe in ("fixture:fig1_s", "asym:3")]
+    assert tables[0].order <= MASK_ROUTE_MAX_ORDER < tables[1].order
+    for s in tables:
+        with pytest.raises(ValueError):
+            k_classes(s, "X")
+
+
 def test_figure_two_j_classes_and_hasse():
     u2 = fixture("fig2_u2")
     g = k_classes(u2, "J")

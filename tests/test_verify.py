@@ -375,6 +375,52 @@ def test_forced_failures_of_socle_extension_and_idempotent_claims_name_their_wit
     assert outcome == (False, witness)
 
 
+# Each case forces one claim on the minimal ideal or the Rees quotients to fail
+# and pins its whole outcome: a report height is set to the given value, or,
+# where a relation is named instead, element 0 (a top element of both fixtures)
+# joins the union of that relation's minimal classes. On fig2_u2 the chains of
+# S and of its quotients render alike, so fig1_u tells them apart.
+SCAN_FAILURE_CASES = [
+    ("fixture:fig2_u2", "lem2.1", "R", ("minimal L-union {0}", "minimal R-union {a,0}")),
+    ("fixture:fig2_u2", "lem2.2", "H", ("minimal H-union {a,0}", "minimal ideal {0}")),
+    ("fixture:fig2_u2", "prop5.2.1", {"H_L": 1}, ("ideal {0}", "L: a > b > 0")),
+    ("fixture:fig2_u2", "prop5.2.3", {"H_J": 99},
+     ("minimal ideal {0}", "J: a > b > d > 0", "J: a > b > d > 0")),
+    ("fixture:fig2_u2", "star", {"H_J": 99}, ("ideal {0}", "J: a > b > d > 0")),
+    ("fixture:fig1_u", "lem2.1", "R", ("minimal L-union {x_z}", "minimal R-union {e,x_z}")),
+    ("fixture:fig1_u", "lem2.2", "H", ("minimal H-union {e,x_z}", "minimal ideal {x_z}")),
+    ("fixture:fig1_u", "prop5.2.1", {"H_L": 1}, ("ideal {x_z}", "L: e > z > 0")),
+    ("fixture:fig1_u", "prop5.2.3", {"H_J": 99},
+     ("minimal ideal {x_z}", "J: e > a > z > x_1 > x_e > x_a > x_z",
+      "J: e > a > z > x_1 > x_e > x_a > 0")),
+    ("fixture:fig1_u", "star", {"H_J": 99},
+     ("ideal {x_z}", "J: e > a > z > x_1 > x_e > x_a > x_z")),
+]
+
+
+@pytest.mark.parametrize(
+    "source, claim_id, force, witness",
+    SCAN_FAILURE_CASES,
+    ids=[f"{source.split(':')[1]}-{claim_id}" for source, claim_id, _, _ in SCAN_FAILURE_CASES],
+)
+def test_forced_failures_of_minimal_ideal_and_quotient_claims_name_their_witness(
+    monkeypatch, source, claim_id, force, witness
+):
+    s = build_from_string(source)
+    report = analyze(s)
+    if isinstance(force, str):
+        union = verify_module.minimal_class_union
+        monkeypatch.setattr(
+            verify_module,
+            "minimal_class_union",
+            lambda t, rel: union(t, rel) | {0} if rel == force else union(t, rel),
+        )
+    else:
+        report = dataclasses.replace(report, **force)
+    outcome = verify_module._EVALUATORS[claim_id](_Context(s, report))
+    assert outcome == (False, witness)
+
+
 def test_lem34_fails_exactly_where_the_power_walk_does():
     # no input falsifies lem3.4, so lower H_H to every value up to the true one
     named = [build_from_string(r) for r in ("sqfree:4", "asym:3", "nm:4,11", "fixture:fig1_u")]
