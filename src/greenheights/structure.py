@@ -4,11 +4,13 @@ Every Green fact here (stability, H-relatedness, minimal and 0-minimal
 classes, principal factors) is read from the class structures of
 :func:`~greenheights.green.k_classes`, never from element dominance masks.
 
-Several functions double as self-tests: facts that hold for every finite
-semigroup (stability, the minimal-ideal descriptions, Green's idempotent
-criterion for regularity) are recomputed from the definitions, and a
-disagreement raises InternalCheckError because it can only mean a bug here,
-never a property of the validated input.
+Each fact on the analysis path is checked in one place. A fact that a claim
+of the harness states (the minimal-ideal description of lem2.1, the exponent
+bound of lem3.4) is left to that claim, so that a violation is reported with
+its witness. The checks kept here are of facts no claim states: that there is
+one minimal J-class, and that the inverse and idempotent criteria agree, for
+regularity and for inverse semigroups. A failure raises InternalCheckError, as
+it can only mean a bug here, never a property of the validated input.
 
 Regularity and (complete) semisimplicity are one fact on a finite semigroup,
 read from the J-classes' idempotents; :func:`principal_factors` is a public
@@ -84,11 +86,10 @@ def group_bound_exponents(s: FiniteSemigroup) -> tuple[int, ...]:
 
 
 def is_group_bound(s: FiniteSemigroup) -> bool:
-    """True for every finite semigroup; also checks the exponent bound H_H."""
-    exponents = group_bound_exponents(s)
-    bound = k_height(s, "H")
-    if any(k > bound for k in exponents):
-        raise InternalCheckError("a power-to-subgroup exponent exceeded the H-height")
+    """True for every finite semigroup, whose every element has a power in a
+    subgroup; :func:`group_bound_exponents` finds it or raises. The bound
+    H_H on those exponents is the harness's claim lem3.4."""
+    group_bound_exponents(s)
     return True
 
 
@@ -103,22 +104,17 @@ def minimal_class_union(s: FiniteSemigroup, relation: str) -> set[int]:
 
 
 def minimal_ideal(s: FiniteSemigroup) -> Ideal:
-    """The unique minimum J-class, which every finite semigroup has.
+    """The unique minimum J-class, which every finite semigroup has; a count
+    of minimal J-classes other than one raises InternalCheckError.
 
-    Cross-checks that it equals the union of the minimal L-classes and the
-    union of the minimal R-classes.
+    That it is the union of the minimal L-classes and of the minimal R-classes
+    is the harness's claim lem2.1, not checked here.
     """
     structure = k_classes(s, "J")
     sinks = [i for i, lt in enumerate(structure.below) if not lt]
     if len(sinks) != 1:
         raise InternalCheckError(f"expected one minimal J-class, found {len(sinks)}")
-    members = frozenset(structure.classes[sinks[0]])
-    for relation in ("L", "R"):
-        if minimal_class_union(s, relation) != members:
-            raise InternalCheckError(
-                f"minimal {relation}-classes do not cover the minimal ideal"
-            )
-    return Ideal(s, members)
+    return Ideal(s, frozenset(structure.classes[sinks[0]]))
 
 
 def is_simple(s: FiniteSemigroup) -> bool:

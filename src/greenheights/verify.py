@@ -4,9 +4,11 @@ input batches.
 
 Claims are evaluated independently, never short-circuited, so a single engine
 bug shows up as many correlated failures instead of hiding behind the first.
-Facts that cannot fail on a validated finite input (stability, the two
-regularity criteria, the chain oracle, the exponent bound) make :func:`analyze`
-raise InternalCheckError, not a violation, as they can only mean a bug here.
+Each fact has one check. A fact that a claim states is checked by that claim
+alone, so no cross-check pre-empts its witness. Facts that no claim states
+and that cannot fail on a validated finite input (stability, the two
+regularity criteria, the chain oracle) make :func:`analyze` raise
+InternalCheckError, not a violation, as they can only mean a bug here.
 
 Every claim but lem5.5.2 is a :func:`_claim` entry: a test checked on each of
 the claim's cases until one fails. lem5.5.2 keeps an evaluator of its own, as
@@ -41,8 +43,6 @@ from .green import (
 )
 from .structure import (
     group_bound_exponents,
-    is_completely_simple,
-    is_group_bound,
     is_inverse,
     is_left_stable,
     is_regular,
@@ -350,9 +350,10 @@ def analyze(s: FiniteSemigroup) -> HeightReport:
     """All five heights plus the structural flags for one semigroup.
 
     On small inputs the condensation heights are cross-checked against the
-    direct chain oracle. On every input both stabilities must hold,
-    regularity must agree with semisimplicity, and no power-to-subgroup
-    exponent may exceed H_H. A failure is an internal error, never a report.
+    direct chain oracle. On every input both stabilities must hold and
+    regularity must agree with semisimplicity. A failure is an internal
+    error, never a report. ``group_bound`` holds for every finite semigroup;
+    the bound H_H on its exponents is claim lem3.4, checked by the harness.
     """
     heights = {rel: k_height(s, rel) for rel in ORDERED_RELATIONS}
     if s.order <= ORACLE_LIMIT:
@@ -376,12 +377,12 @@ def analyze(s: FiniteSemigroup) -> HeightReport:
         H_E=idempotent_height(s),
         left_stable=left_stable,
         right_stable=right_stable,
-        group_bound=is_group_bound(s),
+        group_bound=True,
         regular=regular,
         inverse=is_inverse(s),
         semisimple=regular,
         completely_semisimple=regular,
-        completely_simple=is_completely_simple(s),
+        completely_simple=heights["H"] == 1,
         has_zero=s.zero is not None,
     )
 

@@ -1,5 +1,6 @@
 """Shared test utilities: cached censuses, a naive preorder, small builders."""
 
+import dataclasses
 import itertools
 import random
 from functools import lru_cache
@@ -8,7 +9,7 @@ from greenheights import Ideal, adjoin_identity, build_semigroup, rees_quotient,
 from greenheights.constructions import WORD_LETTERS
 from greenheights.core import ideal_closure, unique_names
 from greenheights.errors import InternalCheckError, NoZeroError
-from greenheights.green import _longest_paths, below_masks, iter_bits, k_classes
+from greenheights.green import _longest_paths, below_masks, iter_bits, k_classes, k_height
 from greenheights.recipes import build_from_string
 from greenheights.structure import (
     is_completely_0_simple,
@@ -24,6 +25,8 @@ from greenheights.enumeration import (
     compose,
     random_transformation_subsemigroup,
 )
+import greenheights.structure as structure_module
+import greenheights.verify as verify_module
 
 
 @lru_cache(maxsize=None)
@@ -520,3 +523,41 @@ def naive_semisimplicity(s):
         is_completely_0_simple(pf.factor) for pf in factors if pf.kind == "zero_simple"
     )
     return semisimple, completely
+
+
+# Faults injected below the claims, each breaking the one fact that a claim
+# states: lem2.1 and lem3.4 must report them, with no cross-check ahead of them.
+
+
+def every_r_class_minimal(monkeypatch):
+    """Make ``structure.k_classes`` put no R-class below another."""
+    original = structure_module.k_classes
+
+    def faulty(s, relation):
+        got = original(s, relation)
+        if relation != "R":
+            return got
+        return dataclasses.replace(got, below=(0,) * got.class_count)
+
+    monkeypatch.setattr(structure_module, "k_classes", faulty)
+
+
+def first_exponent_above_h_height(monkeypatch):
+    """Make ``group_bound_exponents``, in ``structure`` and as ``verify``
+    binds it, give element 0 the exponent H_H + 1."""
+    original = structure_module.group_bound_exponents
+
+    def faulty(s):
+        return (k_height(s, "H") + 1,) + original(s)[1:]
+
+    monkeypatch.setattr(structure_module, "group_bound_exponents", faulty)
+    monkeypatch.setattr(verify_module, "group_bound_exponents", faulty)
+
+
+# (fault, claim id, witness) on fixture:fig1_u: fig1_u has H_H = 3, element 0
+# is e, and its minimal L-class is {x_z}
+INJECTED_FAULTS = [
+    (every_r_class_minimal, "lem2.1",
+     ("minimal L-union {x_z}", "minimal R-union {e,a,z,x_1,x_e,x_a,x_z}")),
+    (first_exponent_above_h_height, "lem3.4", ("e^3 and e^6 are not H-related",)),
+]

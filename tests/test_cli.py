@@ -15,6 +15,8 @@ from greenheights.verify import report_payload, summary_csv_rows
 import greenheights.cli as cli_module
 import greenheights.verify as verify_module
 
+from helpers import INJECTED_FAULTS
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -152,6 +154,17 @@ def test_verify_exit_one_on_violation(capsys, monkeypatch):
     assert code == 1
     assert "violations: 1" in out
     assert "thm6.5 on fixture:fig1_s" in out
+
+
+@pytest.mark.parametrize("inject, claim_id", [fault[:2] for fault in INJECTED_FAULTS],
+                         ids=[claim_id for _, claim_id, _ in INJECTED_FAULTS])
+def test_a_fault_that_a_claim_states_is_a_violation_not_an_internal_error(
+    capsys, monkeypatch, inject, claim_id
+):
+    inject(monkeypatch)
+    code, out, err = run(capsys, "verify", "fixture:fig1_u")
+    assert code == 1, err
+    assert f"{claim_id} on fixture:fig1_u" in out
 
 
 def test_internal_check_failure_exits_three(capsys, monkeypatch):

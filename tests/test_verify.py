@@ -10,13 +10,17 @@ import pytest
 from greenheights import (
     CLAIM_IDS,
     CLAIM_STATEMENTS,
+    ClaimResult,
     EnumerationConfig,
     Violation,
     analyze,
     build_semigroup,
     check_claims,
     fixture,
+    is_completely_simple,
+    is_group_bound,
     k_classes,
+    minimal_ideal,
     parse_mtab,
     squarefree_words,
     sweep,
@@ -30,6 +34,7 @@ from greenheights.errors import (
     SemigroupError,
 )
 from greenheights.recipes import build_from_string
+from greenheights.structure import minimal_class_union
 from greenheights.verify import (
     SCHEMA,
     _Context,
@@ -40,7 +45,13 @@ from greenheights.verify import (
 
 import greenheights.verify as verify_module
 
-from helpers import census, differential_inputs, naive_ideal_family, naive_lem34
+from helpers import (
+    INJECTED_FAULTS,
+    census,
+    differential_inputs,
+    naive_ideal_family,
+    naive_lem34,
+)
 
 
 EXPECTED_CLAIM_IDS = (
@@ -421,11 +432,37 @@ def test_forced_failures_of_minimal_ideal_and_quotient_claims_name_their_witness
     assert outcome == (False, witness)
 
 
+@pytest.mark.parametrize("inject, claim_id, witness", INJECTED_FAULTS,
+                         ids=[claim_id for _, claim_id, _ in INJECTED_FAULTS])
+def test_a_fault_below_the_claims_is_reported_by_the_claim_that_states_it(
+    monkeypatch, inject, claim_id, witness
+):
+    inject(monkeypatch)
+    results = {r.claim_id: r for r in check_claims(fixture("fig1_u"))}
+    assert results[claim_id] == ClaimResult(claim_id, True, False, witness)
+
+
+def small_and_named_inputs():
+    """Every table of order at most 4, then four named constructions."""
+    named = [build_from_string(r) for r in ("sqfree:4", "asym:3", "nm:4,11", "fixture:fig1_u")]
+    return [s for order in range(1, 5) for s in census(order)] + named
+
+
+def test_analyze_flags_and_the_minimal_ideal_agree_with_the_public_predicates():
+    # analyze and minimal_ideal leave these facts, true on every finite
+    # semigroup, unchecked at run time, so the suite holds them instead
+    for s in small_and_named_inputs():
+        report = analyze(s)
+        assert report.group_bound == is_group_bound(s), s
+        assert report.completely_simple == is_completely_simple(s), s
+        minimal = minimal_ideal(s).members
+        assert minimal == minimal_class_union(s, "L") == minimal_class_union(s, "R"), s
+
+
 def test_lem34_fails_exactly_where_the_power_walk_does():
     # no input falsifies lem3.4, so lower H_H to every value up to the true one
-    named = [build_from_string(r) for r in ("sqfree:4", "asym:3", "nm:4,11", "fixture:fig1_u")]
     failing = 0
-    for s in [s for order in range(1, 5) for s in census(order)] + named:
+    for s in small_and_named_inputs():
         report = analyze(s)
         for n in range(1, report.H_H + 1):
             context = _Context(s, dataclasses.replace(report, H_H=n))
