@@ -145,6 +145,13 @@ class FiniteSemigroup:
     construction. It takes no part in equality or hashing, nor does
     ``idempotents``, the one definition of an idempotent (ee = e), filled in
     on construction too.
+
+    The hash, that of the tuple (table, names, identity, zero), is computed
+    on first use and kept on the instance. A tuple does not keep its own
+    hash, and the class caches look the same table up many times, so each
+    lookup would hash all n^2 cells again. The kept hash is not pickled:
+    ``str`` names hash differently in another process (``PYTHONHASHSEED``),
+    such as a ``--jobs`` worker that receives the semigroup.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -159,6 +166,18 @@ class FiniteSemigroup:
             object.__setattr__(self, "generators", tuple(_magma_generators(self.table)))
         idempotents = tuple(e for e, row in enumerate(self.table) if row[e] == e)
         object.__setattr__(self, "idempotents", idempotents)
+
+    def __hash__(self):
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = hash((self.table, self.names, self.identity, self.zero))
+            return h
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     @property
     def order(self) -> int:

@@ -1,7 +1,11 @@
 import enum
 import itertools
+import os
 import pickle
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +25,16 @@ from greenheights import (
     fixture,
     format_mtab,
     ideal_closure,
+    k_classes,
     k_height,
+    minimal_ideal,
     opposite,
     parse_mtab,
     parse_mtab_stream,
+    rees_quotient,
+    u_of,
 )
+from greenheights.constructions import _restrict
 from greenheights.core import (
     _first_associativity_failure,
     _is_associative,
@@ -220,6 +229,118 @@ def test_idempotents_of_a_direct_and_a_pickled_semigroup(table, want):
     again = pickle.loads(pickle.dumps(s))
     assert again == s
     assert s.idempotents == again.idempotents == _diagonal_idempotents(s) == want
+
+
+def _slow_hash(s):
+    """The dataclass hash over the compared fields, computed afresh."""
+    return hash((s.table, s.names, s.identity, s.zero))
+
+
+def _named_and_derived():
+    out = []
+    for recipe in ("sqfree:3", "asym:3", "fixture:fig1_u"):
+        s = build_from_string(recipe)
+        ideal = ideal_closure(s, [1])  # a proper ideal of each
+        out += [
+            s,
+            rees_quotient(s, minimal_ideal(s)),
+            rees_quotient(s, ideal),
+            u_of(s),
+            opposite(s),
+            direct_product(s, left_zero(2)),
+            adjoin_identity(s),
+            _restrict(s, ideal.members),
+        ]
+    return out
+
+
+def test_the_kept_hash_is_the_dataclass_hash_before_and_after_pickle():
+    inputs = [s for order in range(1, 4) for s in census(order)] + _named_and_derived()
+    for s in inputs:
+        assert hash(s) == _slow_hash(s), s.table
+        assert hash(s) == _slow_hash(s), s.table  # the kept value
+        again = pickle.loads(pickle.dumps(s))
+        assert again == s
+        assert hash(again) == _slow_hash(again) == hash(s), s.table
+
+
+def test_generators_take_no_part_in_equality_or_hashing():
+    s = build_from_string("sqfree:3")
+    every = FiniteSemigroup(s.table, s.names, s.identity, s.zero, tuple(range(s.order)))
+    assert every.generators != s.generators
+    assert every == s and hash(every) == hash(s)
+
+
+def test_an_equal_quotient_hits_the_class_cache_entry_of_its_parent():
+    s = build_from_string("sqfree:3")
+    quotient = rees_quotient(s, minimal_ideal(s))  # the zero collapses to itself
+    assert quotient == s and quotient is not s
+    want = k_classes(s, "J")
+    before = k_classes.cache_info()
+    assert k_classes(quotient, "J") is want
+    after = k_classes.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+
+_PICKLE_ASYM3 = """
+import pickle, sys
+from greenheights.recipes import build_from_string
+s = build_from_string("asym:3")
+hash(s)
+sys.stdout.buffer.write(pickle.dumps(s))
+"""
+
+_LOAD_ASYM3 = """
+import pickle, sys
+from greenheights import k_classes
+from greenheights.recipes import build_from_string
+loaded = pickle.loads(sys.stdin.buffer.read())
+built = build_from_string("asym:3")
+assert hash(loaded) == hash(built), "a stale hash came through the pickle"
+k_classes(built, "L")
+before = k_classes.cache_info()
+k_classes(loaded, "L")
+after = k_classes.cache_info()
+assert (after.hits - before.hits, after.misses - before.misses) == (1, 0), (before, after)
+"""
+
+
+def test_a_semigroup_pickled_under_one_hash_seed_hashes_afresh_under_another():
+    # str hashes differ between the two processes, so a hash that travelled
+    # in the pickle would differ from the one asym:3 gets where it is loaded
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    dumped = subprocess.run(
+        [sys.executable, "-c", _PICKLE_ASYM3], capture_output=True, timeout=60,
+        env=dict(env, PYTHONHASHSEED="1"), check=True,
+    ).stdout
+    loaded = subprocess.run(
+        [sys.executable, "-c", _LOAD_ASYM3], input=dumped, capture_output=True, timeout=60,
+        env=dict(env, PYTHONHASHSEED="2"),
+    )
+    assert loaded.returncode == 0, loaded.stderr.decode()
+
+
+class _CountedRow(tuple):
+    """A table row that counts the times it is hashed."""
+
+    def __hash__(self):
+        self.hashes += 1
+        return super().__hash__()
+
+
+def test_each_row_is_hashed_once_for_every_lookup_of_the_table():
+    rows = [(0, 0, 0, 0), (0, 1, 1, 1), (0, 1, 2, 2), (0, 1, 2, 3)]
+    table = tuple(map(_CountedRow, rows))
+    for row in table:
+        row.hashes = 0
+    s = FiniteSemigroup(table, zero=0, identity=3)
+    hash(s)
+    hash(s)
+    k_classes(s, "L")
+    k_classes(s, "R")
+    assert [row.hashes for row in table] == [1] * len(rows)
 
 
 class _Small(enum.IntEnum):
