@@ -12,6 +12,7 @@ from .core import (
     Ideal,
     _adjoin_identities,
     _derived_semigroup,
+    _fresh_name,
     _picker,
     build_semigroup,
     opposite,
@@ -33,8 +34,7 @@ def _kept_rows(s: FiniteSemigroup, keep, outside, tail=()):
     """The rows of the elements of ``keep``, in its order, each cut to the
     columns of ``keep`` and renumbered by position in it, a product outside
     ``keep`` becoming ``outside``, and followed by ``tail``. Returns the rows
-    and the position of each element of ``s`` (``outside`` if not kept).
-    ``keep`` may come in any order; ``lem5.5.2`` puts the zero last."""
+    and the position of each element of ``s`` (``outside`` if not kept)."""
     position = [outside] * s.order
     for i, a in enumerate(keep):
         position[a] = i
@@ -87,9 +87,15 @@ def rees_quotient(s: FiniteSemigroup, ideal: Ideal) -> FiniteSemigroup:
 
     Surviving elements keep their relative order; the fresh zero gets the last
     index. Quotienting by the whole semigroup gives the trivial semigroup.
+    Where the quotient would equal ``s``, ``s`` itself is returned: that is
+    S/{0} when the zero is already last and unnamed or named as the fresh
+    zero would be ("0", primed past the other names).
     """
     if not isinstance(ideal, Ideal) or ideal.parent != s:
         raise InvalidIdealError("expected an ideal of the semigroup being quotiented")
+    if ideal.members == {s.order - 1}:
+        if s.names is None or s.names[-1] == _fresh_name("0", s.names[:-1]):
+            return s
     keep = [a for a in range(s.order) if a not in ideal.members]
     # S -> S/I is onto, so the images of S's generators generate S/I
     return collapse_to_zero(s, keep, s.generators)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
-from .constructions import _kept_rows, _restrict, rees_quotient, u_of
+from .constructions import _restrict, rees_quotient, u_of
 from .core import FiniteSemigroup, Ideal, format_mtab
 from .enumeration import EnumerationConfig, enumerate_semigroups
 from .errors import InternalCheckError, RangeError, SemigroupError
@@ -160,17 +160,13 @@ def _eval_lem552(c: _Context):
             f"socle of extension {_set_names(u, soc.members)}",
             f"expected {_set_names(u, expected)}",
         )
-    q = rees_quotient(u, soc)
+    got, want = rees_quotient(u, soc).table, c.quotient(c.minimal).table
+    if got == want:
+        return True, None
+    # S/{0} keeps the nonzero elements in order and puts the zero last
     mapping = [a for a in range(n) if a != s.zero] + [s.zero]
-    rows, _ = _kept_rows(s, mapping, None)
-    for a, (got, want) in enumerate(zip(q.table, rows)):
-        if got != want:
-            b = [x == y for x, y in zip(got, want)].index(False)
-            return False, (
-                f"quotient disagrees at ({s.name_of(mapping[a])},"
-                f"{s.name_of(mapping[b])})",
-            )
-    return True, None
+    a, b = next((a, b) for a, row in enumerate(got) for b, x in enumerate(row) if x != want[a][b])
+    return False, (f"quotient disagrees at ({s.name_of(mapping[a])},{s.name_of(mapping[b])})",)
 
 
 def _once(c: _Context):

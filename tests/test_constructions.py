@@ -30,7 +30,7 @@ from greenheights import (
     u_of,
 )
 
-from greenheights.constructions import FIXTURE_NAMES
+from greenheights.constructions import FIXTURE_NAMES, collapse_to_zero
 from greenheights.recipes import build_from_string
 
 from helpers import (
@@ -80,6 +80,22 @@ def test_rees_quotient_canonical_map_is_a_homomorphism():
         for a in range(s.order):
             for b in range(s.order):
                 assert q.table[push(a)][push(b)] == push(s.table[a][b])
+
+
+def test_the_quotient_by_the_zero_is_its_definition_and_is_s_exactly_when_equal():
+    named = [build_from_string(r) for r in
+             ("sqfree:3", "asym:3", "nm:3,5", "fixture:fig1_s", "fixture:fig1_u")]
+    named.append(build_semigroup([[0, 0, 0], [0, 1, 2], [0, 0, 0]], ["z", "e", "a"]))
+    inputs = [s for order in range(1, 4) for s in census(order) if s.zero is not None] + named
+    returned_s = 0
+    for s in inputs:
+        slow = collapse_to_zero(s, [a for a in range(s.order) if a != s.zero], s.generators)
+        q = rees_quotient(s, Ideal(s, {s.zero}))
+        assert (q.table, q.names, q.identity, q.zero) == (
+            slow.table, slow.names, slow.identity, slow.zero), s.table
+        assert (q is s) == (slow == s), s.table
+        returned_s += q is s
+    assert 0 < returned_s < len(inputs)
 
 
 def test_quotient_by_completely_simple_minimal_ideal_preserves_heights():

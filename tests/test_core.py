@@ -273,11 +273,13 @@ def test_generators_take_no_part_in_equality_or_hashing():
 
 def test_an_equal_quotient_hits_the_class_cache_entry_of_its_parent():
     s = build_from_string("sqfree:3")
-    quotient = rees_quotient(s, minimal_ideal(s))  # the zero collapses to itself
-    assert quotient == s and quotient is not s
+    # the zero is last and named "0", so it collapses to itself
+    assert rees_quotient(s, minimal_ideal(s)) is s
+    equal = FiniteSemigroup(s.table, s.names, s.identity, s.zero, tuple(range(s.order)))
+    assert equal == s and equal is not s
     want = k_classes(s, "J")
     before = k_classes.cache_info()
-    assert k_classes(quotient, "J") is want
+    assert k_classes(equal, "J") is want
     after = k_classes.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 

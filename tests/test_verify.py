@@ -12,6 +12,7 @@ from greenheights import (
     CLAIM_STATEMENTS,
     ClaimResult,
     EnumerationConfig,
+    Ideal,
     Violation,
     analyze,
     build_semigroup,
@@ -167,6 +168,51 @@ def test_lem552_names_the_first_differing_cell_in_row_major_order(monkeypatch):
     result = next(r for r in check_claims(s) if r.claim_id == "lem5.5.2")
     assert result.applicable and not result.holds
     assert result.witness == ("quotient disagrees at (e,z)",)
+
+
+def _zero_first():
+    return build_semigroup([[0, 0, 0], [0, 1, 2], [0, 0, 0]], ["z", "e", "a"])
+
+
+def _lem552(s):
+    return next(r for r in check_claims(s) if r.claim_id == "lem5.5.2")
+
+
+def test_lem552_names_a_differing_cell_by_the_elements_of_s_when_the_zero_comes_first(
+    monkeypatch,
+):
+    s = _zero_first()  # the quotient keeps e, a in order, then the zero
+    u = u_of(s)
+    real = verify_module.rees_quotient
+
+    def tampered(parent, ideal):
+        q = real(parent, ideal)
+        if parent != u:
+            return q
+        rows = [list(row) for row in q.table]
+        rows[1][0] = (rows[1][0] + 1) % q.order
+        return dataclasses.replace(q, table=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(verify_module, "rees_quotient", tampered)
+    result = _lem552(s)
+    assert result.applicable and not result.holds
+    assert result.witness == ("quotient disagrees at (a,e)",)
+
+
+def test_lem552_names_the_socle_of_the_extension_when_it_is_not_the_fresh_part(monkeypatch):
+    s = _zero_first()
+    u = u_of(s)
+    real = verify_module.left_socle
+    monkeypatch.setattr(
+        verify_module, "left_socle",
+        lambda t: Ideal(t, range(t.order)) if t == u else real(t),
+    )
+    result = _lem552(s)
+    assert result.applicable and not result.holds
+    assert result.witness == (
+        "socle of extension {z,e,a,x_1,x_z,x_e,x_a}",
+        "expected {z,x_1,x_z,x_e,x_a}",
+    )
 
 
 def test_u2_attains_the_two_sided_bound_with_equality():
@@ -692,8 +738,9 @@ def test_sweep_rejects_fewer_than_one_job():
 
 def test_each_context_builds_its_ideal_family_socle_and_extension_once(monkeypatch):
     s = fixture("fig1_u")  # has a zero, and few enough elements for principal ideals
-    # verify builds one Ideal per principal ideal, that is per J-class
-    calls = {"Ideal": 0, "left_socle": 0, "u_of": 0}
+    # verify builds one Ideal per principal ideal, that is per J-class, and
+    # one quotient of s per distinct ideal it collapses, S/{0} included
+    calls = {"Ideal": 0, "left_socle": 0, "u_of": 0, "rees_quotient": 0}
 
     def counted(name):
         real = getattr(verify_module, name)
@@ -705,11 +752,14 @@ def test_each_context_builds_its_ideal_family_socle_and_extension_once(monkeypat
 
         return wrapper
 
+    context = _Context(s, analyze(s))
+    quotiented = {i.members for i in context.ideal_family} | {context.socle.members}
     for name in calls:
         monkeypatch.setattr(verify_module, name, counted(name))
     check_claims(s)
     j_count = k_classes(s, "J").class_count
-    assert calls == {"Ideal": j_count, "left_socle": 1, "u_of": 1}
+    assert calls == {"Ideal": j_count, "left_socle": 1, "u_of": 1,
+                     "rees_quotient": len(quotiented)}
 
 
 def test_ideal_family_matches_the_per_element_closure_oracle():
