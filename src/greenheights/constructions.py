@@ -1,6 +1,6 @@
 """Every finite construction used by the analysis: Rees quotients, the null
-ideal extension U(S), the two extremal families, square-free word semigroups,
-and the named fixture tables."""
+ideal extension U(S) and its Cayley graphs, the two extremal families,
+square-free word semigroups, and the named fixture tables."""
 
 from __future__ import annotations
 
@@ -69,8 +69,10 @@ def collapse_to_zero(s: FiniteSemigroup, keep, generated_by=None) -> FiniteSemig
 
 def _restrict(s: FiniteSemigroup, elements) -> FiniteSemigroup:
     """Subsemigroup on a multiplicatively closed element set, associative
-    because ``s`` is, so not validated again."""
+    because ``s`` is, so not validated again. On all of S it is ``s`` itself."""
     keep = sorted(elements)
+    if keep == list(range(s.order)):
+        return s
     rows, _ = _kept_rows(s, keep, -1)
     for a, row in zip(keep, rows):
         if -1 in row:
@@ -126,6 +128,34 @@ def u_of(s: FiniteSemigroup) -> FiniteSemigroup:
     if out.zero != x_z:
         raise InternalCheckError("the extension did not put its zero at x_z")
     return out
+
+
+def u_of_graphs(s: FiniteSemigroup):
+    """The left and right Cayley graphs of U(S) over its generating set
+    G_U = ``s.generators + (x_1,)``, from S's generator rows and columns
+    alone, without U(S)'s table.
+
+    Indices are those of :func:`u_of`, and so is the rule: a*x_t = x_t,
+    x_t*a = x_(ta) and x_t*x_u = x_z. Returns ``(left, right)``, where
+    ``left[x][k]`` is G_U[k]*x and ``right[x][k]`` is x*G_U[k]: n|G_U| cells
+    where the table has (2n + 1)^2.
+    """
+    if s.zero is None:
+        raise NoZeroError("the null ideal extension needs a zero element")
+    n = s.order
+    x_1, x_z = n, n + 1 + s.zero
+    generators = s.generators
+    pick = _picker(generators)
+    shift = (n + 1).__add__
+    right = [pick(row) + (x_1,) for row in s.table]
+    right.append(tuple(map(shift, generators)) + (x_z,))
+    right.extend(tuple(map(shift, pick(row))) + (x_z,) for row in s.table)
+    columns = list(zip(*map(s.table.__getitem__, generators)))
+    fixed = len(generators)
+    left = [column + (shift(a),) for a, column in enumerate(columns)]
+    left.append((x_1,) * fixed + (x_z,))
+    left.extend((shift(t),) * fixed + (x_z,) for t in range(n))
+    return left, right
 
 
 def nm_family(n: int, m: int) -> FiniteSemigroup:

@@ -9,7 +9,9 @@ one) and finds the K-classes as the graph's strongly connected components, with
 each class's strict-below set and height pulled up from the classes below
 it as the components complete: O(n |G|) edges instead of n^2 products. H is
 the meet of L and R, so its classes come from the L- and R-classes' element
-down-sets, intersected element by element.
+down-sets, intersected element by element. The component pass takes bare
+successor lists, so it also serves graphs built without a table, such as
+U(S)'s (:func:`~greenheights.constructions.u_of_graphs`).
 
 Dominance bitmasks (:func:`below_masks`: bit a of ``below[b]`` says
 a <=_K b) remain for the element-level work: :func:`preorder`, the witness
@@ -254,13 +256,16 @@ def _components(succ):
     return comp_of, components
 
 
-def _order_from_cayley_graph(s: FiniteSemigroup, relation: str):
-    """Classes, strict order and heights of L, R or J from a Cayley graph.
+def _order_from_successors(succ):
+    """Classes, strict order and heights of the reachability preorder of a
+    graph given by its successor lists: ``succ[x]`` lists the ends of x's
+    edges, in any order and with repeats allowed.
 
-    a <=_K b exactly when a is reachable from b, so the K-classes are the
-    strongly connected components, ordered by reachability.
+    On a Cayley graph of L, R or J, a <=_K b exactly when a is reachable
+    from b, so the K-classes are the strongly connected components, ordered
+    by reachability. Returns ``class_of``, ``classes``, ``below`` and
+    ``height`` as :class:`GreenStructure` has them, as lists.
     """
-    succ = _cayley_successors(s, relation)
     comp_of, components = _components(succ)
     rank = [-1] * len(components)
     count = 0
@@ -331,7 +336,7 @@ def k_classes(s: FiniteSemigroup, relation: str) -> GreenStructure:
         right = _element_down_sets(k_classes(s, "R"))
         order = _order_from_masks([a & b for a, b in zip(left, right)])
     else:
-        order = _order_from_cayley_graph(s, relation)
+        order = _order_from_successors(_cayley_successors(s, relation))
     class_of, classes, below, height = order
     return GreenStructure(
         relation,

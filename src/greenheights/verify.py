@@ -13,6 +13,11 @@ InternalCheckError, not a violation, as they can only mean a bug here.
 Every claim but lem5.5.2 is a :func:`_claim` entry: a test checked on each of
 the claim's cases until one fails. lem5.5.2 keeps an evaluator of its own, as
 its two stages (the socle of U(S), then a differing cell) share no case type.
+
+The two claims on the null ideal extension U(S), lem5.5.2 and prop5.6, read
+U(S)'s Cayley graphs over G_U = G_S u {x_1} (:func:`u_of_graphs`), built
+from S's generator rows and columns: n|G_U| cells where U(S)'s table has
+(2n + 1)^2. That table is built only on a failure, to name the witness.
 """
 
 from __future__ import annotations
@@ -26,13 +31,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
-from .constructions import _restrict, rees_quotient, u_of
+from .constructions import _restrict, rees_quotient, u_of, u_of_graphs
 from .core import FiniteSemigroup, Ideal, format_mtab
 from .enumeration import EnumerationConfig, enumerate_semigroups
 from .errors import InternalCheckError, RangeError, SemigroupError
 from .green import (
     ORDERED_RELATIONS,
     HeightReport,
+    _order_from_successors,
     height_within_ideal,
     idempotent_height,
     iter_bits,
@@ -97,9 +103,46 @@ def _set_names(s: FiniteSemigroup, elements) -> str:
     return "{" + ",".join(s.name_of(a) for a in sorted(elements)) + "}"
 
 
+@dataclass(frozen=True)
+class _ExtensionGraphs:
+    """What lem5.5.2 and prop5.6 read of U(S), from its Cayley graphs over
+    G_U (:func:`u_of_graphs`): its L- and R-heights, its left socle (x_z and
+    the 0-minimal L-classes), and the right graph, ``right[x][k]`` being
+    x*G_U[k]."""
+
+    h_left: int
+    h_right: int
+    socle: frozenset[int]
+    right: list[tuple[int, ...]]
+
+
+def _extension_graphs(s: FiniteSemigroup) -> _ExtensionGraphs:
+    """U(S)'s graph facts, from one component pass over each graph.
+
+    The socle is checked to be an ideal over G_U on both sides, which
+    suffices because G_U generates U(S). Should that fail, the ideal is
+    checked again on U(S)'s table, which raises the error
+    ``left_socle(u_of(s))`` would, naming the first product outside.
+    """
+    left, right = u_of_graphs(s)
+    zero = s.order + 1 + s.zero
+    class_of, classes, below, height = _order_from_successors(left)
+    only_zero = 1 << class_of[zero]
+    socle = {zero}
+    for members, lt in zip(classes, below):
+        if lt == only_zero:
+            socle.update(members)
+    if not all(socle.issuperset(left[x]) and socle.issuperset(right[x]) for x in socle):
+        Ideal(u_of(s), socle)
+    h_right = max(_order_from_successors(right)[3])
+    return _ExtensionGraphs(max(height), h_right, frozenset(socle), right)
+
+
 class _Context:
     """Shared per-semigroup data for the claim evaluators: the :func:`analyze`
-    report as is, its heights by relation, and ideals and tables built on first use."""
+    report as is, its heights by relation, U(S)'s graph facts, and ideals
+    and tables built on first use. U(S)'s table, ``extension``, is built
+    only for a witness."""
 
     def __init__(self, s: FiniteSemigroup, report: HeightReport):
         self.s = s
@@ -127,6 +170,10 @@ class _Context:
         return self.quotient(self.socle)
 
     @cached_property
+    def extension_graphs(self) -> _ExtensionGraphs:
+        return _extension_graphs(self.s)
+
+    @cached_property
     def extension(self) -> FiniteSemigroup:
         return u_of(self.s)
 
@@ -152,19 +199,34 @@ def _eval_lem552(c: _Context):
         return None
     s = c.s
     n = s.order
-    u = c.extension
+    socle = c.extension_graphs.socle
     expected = frozenset(range(n, 2 * n + 1)) | {s.zero}
-    soc = left_socle(u)
-    if soc.members != expected:
+    if socle != expected:
+        u = c.extension
         return False, (
-            f"socle of extension {_set_names(u, soc.members)}",
+            f"socle of extension {_set_names(u, socle)}",
             f"expected {_set_names(u, expected)}",
         )
-    got, want = rees_quotient(u, soc).table, c.quotient(c.minimal).table
+    want = c.quotient(c.minimal).table
+    # S/{0} and U/soc keep the nonzero elements in order and put the zero last
+    nonzero = [a for a in range(n) if a != s.zero]
+    position = [n - 1] * (2 * n + 1)
+    for i, a in enumerate(nonzero):
+        position[a] = i
+    # both tables are associative and the images of G_S generate U/soc (x_1
+    # lies in the socle), so equal right Cayley graphs over G_S mean equal tables
+    right = c.extension_graphs.right
+    columns = [position[g] for g in s.generators]
+    if all(
+        [position[y] for y in right[a][:-1]] == [want[i][g] for g in columns]
+        for i, a in enumerate(nonzero)
+    ):
+        return True, None
+    u = c.extension
+    got = rees_quotient(u, Ideal(u, socle)).table
     if got == want:
         return True, None
-    # S/{0} keeps the nonzero elements in order and puts the zero last
-    mapping = [a for a in range(n) if a != s.zero] + [s.zero]
+    mapping = nonzero + [s.zero]
     a, b = next((a, b) for a, row in enumerate(got) for b, x in enumerate(row) if x != want[a][b])
     return False, (f"quotient disagrees at ({s.name_of(mapping[a])},{s.name_of(mapping[b])})",)
 
@@ -304,8 +366,8 @@ _REGISTRY = {
                  _eval_lem552),
     "prop5.6": ("the null ideal extension sends H_L to H_L + 1 and H_R to "
                 "2*H_R + 1",
-                _claim(lambda c: k_height(c.extension, "L") == c.h["L"] + 1
-                       and k_height(c.extension, "R") == 2 * c.h["R"] + 1,
+                _claim(lambda c: c.extension_graphs.h_left == c.h["L"] + 1
+                       and c.extension_graphs.h_right == 2 * c.h["R"] + 1,
                        lambda c: _chains(c.extension, "LR"), applies=_has_zero)),
     "thm6.1": ("ceil(log2(H_L + 1)) <= H_R <= 2^H_L - 1",
                _claim(lambda c: c.h["L"].bit_length() <= c.h["R"] <= 2 ** c.h["L"] - 1,

@@ -378,6 +378,14 @@ def naive_ideal_family(s):
     return sorted(family, key=lambda m: (len(m), sorted(m)))
 
 
+def extension_inputs():
+    """Inputs for the differential tests of U(S)'s Cayley graphs: every table
+    of order at most 4 that has a zero, and five named ones."""
+    named = [build_from_string(r) for r in
+             ("sqfree:3", "asym:3", "nm:4,11", "fixture:fig1_s", "fixture:fig1_u")]
+    return [s for order in range(1, 5) for s in census(order) if s.zero is not None] + named
+
+
 def naive_u_of(s):
     """Oracle for the null ideal extension, kept from the first form of
     u_of, which set each cell of U(S) through the index of x_t."""

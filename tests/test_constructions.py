@@ -30,13 +30,15 @@ from greenheights import (
     u_of,
 )
 
-from greenheights.constructions import FIXTURE_NAMES, collapse_to_zero
+from greenheights.constructions import FIXTURE_NAMES, _restrict, collapse_to_zero, u_of_graphs
+from greenheights.green import _cayley_successors
 from greenheights.recipes import build_from_string
 
 from helpers import (
     adjoin_zero,
     census,
     cyclic_group,
+    extension_inputs,
     naive_nm_family,
     naive_squarefree_words,
     naive_u_of,
@@ -106,8 +108,9 @@ def test_quotient_by_completely_simple_minimal_ideal_preserves_heights():
 
 
 def test_extension_requires_a_zero():
-    with pytest.raises(NoZeroError):
-        u_of(cyclic_group(3))
+    for build in (u_of, u_of_graphs):
+        with pytest.raises(NoZeroError):
+            build(cyclic_group(3))
 
 
 def test_row_built_extension_equals_the_cell_by_cell_oracle():
@@ -118,6 +121,44 @@ def test_row_built_extension_equals_the_cell_by_cell_oracle():
     assert len(with_zero) > len(named)
     for s in with_zero:
         assert u_of(s) == naive_u_of(s)
+
+
+def _u_graph_mismatches(s, graphs):
+    """The relations, of L and R, whose graph in ``graphs`` differs from the
+    Cayley graph of ``u_of(s)``: as sets of out-neighbours, or in the order
+    of ``u_of(s).generators`` that lem5.5.2 reads."""
+    u = u_of(s)
+    cells = {"L": lambda x, g: u.table[g][x], "R": lambda x, g: u.table[x][g]}
+    return [
+        rel for rel, succ in zip("LR", graphs)
+        if list(map(set, succ)) != list(map(set, _cayley_successors(u, rel)))
+        or succ != [tuple(cells[rel](x, g) for g in u.generators) for x in range(u.order)]
+    ]
+
+
+def test_extension_graphs_are_the_cayley_graphs_of_the_extension_table():
+    inputs = extension_inputs()
+    assert len(inputs) > 5
+    for s in inputs:
+        assert u_of(s).generators == s.generators + (s.order,)
+        assert _u_graph_mismatches(s, u_of_graphs(s)) == [], s.table
+
+
+def test_a_mutant_extension_rule_fails_the_graph_comparison():
+    s = fixture("fig1_s")
+    left, right = u_of_graphs(s)
+    x_1 = s.order
+    # x_t * x_1 = x_1 instead of x_z
+    mutant = [row[:-1] + (x_1,) if x > x_1 else row for x, row in enumerate(right)]
+    assert _u_graph_mismatches(s, (left, mutant)) == ["R"]
+
+
+def test_restriction_to_all_of_s_is_s_itself():
+    g = cyclic_group(3)
+    assert _restrict(g, range(3)) is g
+    s = fixture("fig1_u")
+    part = _restrict(s, minimal_ideal(s).members)
+    assert part is not s and part.table == ((0,),)
 
 
 def test_extension_of_the_trivial_zero_semigroup_is_figure_one():

@@ -21,6 +21,8 @@ from greenheights import (
     is_completely_simple,
     is_group_bound,
     k_classes,
+    k_height,
+    left_socle,
     minimal_ideal,
     parse_mtab,
     squarefree_words,
@@ -30,6 +32,7 @@ from greenheights import (
 from greenheights.errors import (
     AssociativityError,
     InternalCheckError,
+    InvalidIdealError,
     ParseError,
     RangeError,
     SemigroupError,
@@ -49,7 +52,9 @@ import greenheights.verify as verify_module
 from helpers import (
     INJECTED_FAULTS,
     census,
+    cyclic_group,
     differential_inputs,
+    extension_inputs,
     naive_ideal_family,
     naive_lem34,
 )
@@ -150,24 +155,29 @@ def test_claims_hold_on_the_figures_and_words():
             assert result.witness is None
 
 
-def test_lem552_names_the_first_differing_cell_in_row_major_order(monkeypatch):
-    s = fixture("fig1_s")  # e, a, z with zero z, so the quotient keeps e, a, z in order
-    u = u_of(s)
+def _tampered_zero_quotient(monkeypatch, s, cells):
+    """Make verify's S/{0} differ from U/soc at each (row, column) of
+    ``cells``, by the next index mod its order."""
     real = verify_module.rees_quotient
 
     def tampered(parent, ideal):
         q = real(parent, ideal)
-        if parent != u:
+        if parent is not s or ideal.members != {s.zero}:
             return q
         rows = [list(row) for row in q.table]
-        for a, b in ((1, 0), (0, 2)):  # the later row first, so row order decides
+        for a, b in cells:
             rows[a][b] = (rows[a][b] + 1) % q.order
         return dataclasses.replace(q, table=tuple(map(tuple, rows)))
 
     monkeypatch.setattr(verify_module, "rees_quotient", tampered)
-    result = next(r for r in check_claims(s) if r.claim_id == "lem5.5.2")
-    assert result.applicable and not result.holds
-    assert result.witness == ("quotient disagrees at (e,z)",)
+
+
+def test_lem552_names_the_first_differing_cell_in_row_major_order(monkeypatch):
+    s = fixture("fig1_s")  # e, a, z with zero z, so the quotient keeps e, a, z in order
+    # the later row first, so row order decides; only (1, 0), a times the
+    # generator e, is a cell of the right Cayley graph that the claim compares
+    _tampered_zero_quotient(monkeypatch, s, ((1, 0), (0, 2)))
+    assert _lem552_alone(s) == (False, ("quotient disagrees at (e,z)",))
 
 
 def _zero_first():
@@ -178,34 +188,27 @@ def _lem552(s):
     return next(r for r in check_claims(s) if r.claim_id == "lem5.5.2")
 
 
+def _lem552_alone(s):
+    """lem5.5.2's outcome on ``s``, evaluated alone: the other claims that
+    read a tampered S/{0} would find it not associative."""
+    return verify_module._EVALUATORS["lem5.5.2"](_Context(s, analyze(s)))
+
+
 def test_lem552_names_a_differing_cell_by_the_elements_of_s_when_the_zero_comes_first(
     monkeypatch,
 ):
     s = _zero_first()  # the quotient keeps e, a in order, then the zero
-    u = u_of(s)
-    real = verify_module.rees_quotient
-
-    def tampered(parent, ideal):
-        q = real(parent, ideal)
-        if parent != u:
-            return q
-        rows = [list(row) for row in q.table]
-        rows[1][0] = (rows[1][0] + 1) % q.order
-        return dataclasses.replace(q, table=tuple(map(tuple, rows)))
-
-    monkeypatch.setattr(verify_module, "rees_quotient", tampered)
-    result = _lem552(s)
-    assert result.applicable and not result.holds
-    assert result.witness == ("quotient disagrees at (a,e)",)
+    _tampered_zero_quotient(monkeypatch, s, ((1, 0),))
+    assert _lem552_alone(s) == (False, ("quotient disagrees at (a,e)",))
 
 
 def test_lem552_names_the_socle_of_the_extension_when_it_is_not_the_fresh_part(monkeypatch):
     s = _zero_first()
-    u = u_of(s)
-    real = verify_module.left_socle
+    real = verify_module._extension_graphs
     monkeypatch.setattr(
-        verify_module, "left_socle",
-        lambda t: Ideal(t, range(t.order)) if t == u else real(t),
+        verify_module, "_extension_graphs",
+        lambda t: dataclasses.replace(real(t), socle=frozenset(range(2 * t.order + 1)))
+        if t is s else real(t),
     )
     result = _lem552(s)
     assert result.applicable and not result.holds
@@ -213,6 +216,54 @@ def test_lem552_names_the_socle_of_the_extension_when_it_is_not_the_fresh_part(m
         "socle of extension {z,e,a,x_1,x_z,x_e,x_a}",
         "expected {z,x_1,x_z,x_e,x_a}",
     )
+
+
+def test_extension_graph_facts_match_the_table_of_the_extension():
+    inputs = extension_inputs()
+    assert len(inputs) > 5
+    for s in inputs:
+        u = u_of(s)
+        facts = verify_module._extension_graphs(s)
+        assert facts.socle == left_socle(u).members, s.table
+        assert (facts.h_left, facts.h_right) == (k_height(u, "L"), k_height(u, "R")), s.table
+
+
+def test_a_graph_socle_that_is_not_an_ideal_fails_as_on_the_table(monkeypatch):
+    s = fixture("fig1_s")
+    u = u_of(s)
+    top = k_classes(u, "L").classes[0]  # the L-class of e, the identity of S
+    real = verify_module._order_from_successors
+    seen = []
+
+    def widened(succ):  # the first graph read is the left one, which gives the socle
+        class_of, classes, below, height = real(succ)
+        if not seen:
+            only_zero = 1 << class_of[u.zero]
+            below = [only_zero if members == list(top) else lt
+                     for members, lt in zip(classes, below)]
+        seen.append(succ)
+        return class_of, classes, below, height
+
+    monkeypatch.setattr(verify_module, "_order_from_successors", widened)
+    with pytest.raises(InvalidIdealError) as expected:
+        Ideal(u, left_socle(u).members | set(top))
+    with pytest.raises(InvalidIdealError) as got:
+        verify_module._extension_graphs(s)
+    assert str(got.value) == str(expected.value)
+
+
+def test_lem22_holds_where_the_minimal_ideal_is_all_of_s(monkeypatch):
+    # a group and a 2x2 rectangular band, (i,j)(k,l) = (i,l), are simple
+    band = build_semigroup([[2 * (a // 2) + b % 2 for b in range(4)] for a in range(4)])
+    real = verify_module._restrict
+    for s in (cyclic_group(3), band):
+        restricted = []
+        monkeypatch.setattr(
+            verify_module, "_restrict",
+            lambda t, elements: restricted.append(real(t, elements)) or restricted[-1],
+        )
+        assert verify_module._EVALUATORS["lem2.2"](_Context(s, analyze(s))) == (True, None)
+        assert len(restricted) == 1 and restricted[0] is s
 
 
 def test_u2_attains_the_two_sided_bound_with_equality():
@@ -739,8 +790,10 @@ def test_sweep_rejects_fewer_than_one_job():
 def test_each_context_builds_its_ideal_family_socle_and_extension_once(monkeypatch):
     s = fixture("fig1_u")  # has a zero, and few enough elements for principal ideals
     # verify builds one Ideal per principal ideal, that is per J-class, and
-    # one quotient of s per distinct ideal it collapses, S/{0} included
-    calls = {"Ideal": 0, "left_socle": 0, "u_of": 0, "rees_quotient": 0}
+    # one quotient of s per distinct ideal it collapses, S/{0} included; the
+    # claims on U(S) read its Cayley graphs, and its table is built only for
+    # a witness, so not at all on a passing input
+    calls = {"Ideal": 0, "left_socle": 0, "u_of": 0, "u_of_graphs": 0, "rees_quotient": 0}
 
     def counted(name):
         real = getattr(verify_module, name)
@@ -758,7 +811,7 @@ def test_each_context_builds_its_ideal_family_socle_and_extension_once(monkeypat
         monkeypatch.setattr(verify_module, name, counted(name))
     check_claims(s)
     j_count = k_classes(s, "J").class_count
-    assert calls == {"Ideal": j_count, "left_socle": 1, "u_of": 1,
+    assert calls == {"Ideal": j_count, "left_socle": 1, "u_of": 0, "u_of_graphs": 1,
                      "rees_quotient": len(quotiented)}
 
 
