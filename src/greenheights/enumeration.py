@@ -12,6 +12,12 @@ McKay, "Isomorph-free exhaustive generation", 1998): it prunes every partial
 table that some relabelling already makes lexicographically smaller, so it
 yields exactly the tables that are their own ``canonical_table``, in the same
 order, and reaches order 6. ``canonical_table`` confirms each table it emits.
+
+The labeled census of an order is also the union of its classes' orbits:
+:func:`labeled_orbits` applies every relabelling to each canonical table and
+sorts the copies row-major, which is the labeled search's own order, so a
+sweep can evaluate each class once and replay its record for every copy. The
+copies are counted against the known labeled totals (OEIS A023814).
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator
 
 from .core import FiniteSemigroup, build_semigroup
@@ -177,6 +184,72 @@ def _relabellings(n):
         source = tuple(inv[i] * n + inv[j] for i in range(n) for j in range(n))
         out.append((perm, source))
     return tuple(out)
+
+
+# The number of labeled semigroups of orders 1..5 (OEIS A023814).
+LABELED_COUNTS = {1: 1, 2: 8, 3: 113, 4: 3492, 5: 183732}
+
+
+def labeled_orbits(classes) -> tuple[list[bytes], list[int]]:
+    """The labeled census of one order, built from its isomorphism classes.
+
+    ``classes`` holds the canonical tables of one order, in the order the
+    search up to isomorphism emits them. Every relabelling from
+    ``_relabellings`` is applied to each class, and each copy is kept as a
+    key: its cells row-major, one byte each, then its class's index in two
+    bytes. So keys sort as the tables do, which is ``associative_tables(n,
+    [])``'s order, and the copies an automorphism repeats collapse. Returns
+    the sorted keys and, per class, the index of its first copy.
+
+    Raises InternalCheckError unless there are as many copies as the known
+    labeled total, and unless each class first appears as its own canonical
+    table, after the classes before it: a class's canonical table is the
+    least copy in its orbit, so both hold for a correct class list.
+    """
+    n = len(classes[0]) if classes else 0
+    classes = [bytes(v for row in table for v in row) for table in classes]
+    size = n * n
+    suffixes = [c.to_bytes(2, "big") for c in range(len(classes))]
+    keys = set()
+    for perm, source in _relabellings(n):
+        renamed = bytes(perm) + bytes(range(n, 256))
+        # the cells are renamed, then moved; the two suffix bytes stay last
+        copy = itemgetter(*source, size, size + 1)
+        keys.update([
+            bytes(copy(cells.translate(renamed) + suffix))
+            for cells, suffix in zip(classes, suffixes)
+        ])
+    keys = sorted(keys)
+    if len(keys) != LABELED_COUNTS.get(n):
+        raise InternalCheckError(
+            f"{len(classes)} classes of order {n} have {len(keys)} labeled copies, "
+            f"not {LABELED_COUNTS.get(n)}"
+        )
+    first = []
+    for i, key in enumerate(keys):
+        c = int.from_bytes(key[size:], "big")
+        if c == len(first):
+            if key[:size] != classes[c]:
+                raise InternalCheckError(
+                    f"class {c} of order {n} first appears as a copy that is not its "
+                    f"canonical table, at index {i}"
+                )
+            first.append(i)
+        elif c > len(first):
+            raise InternalCheckError(
+                f"class {c} of order {n} appears before class {len(first)}, at index {i}"
+            )
+    return keys, first
+
+
+def copy_table(key: bytes, n: int) -> tuple[tuple[int, ...], ...]:
+    """The table of one key of :func:`labeled_orbits`."""
+    return tuple(tuple(key[i * n:(i + 1) * n]) for i in range(n))
+
+
+def copy_class(key: bytes, n: int) -> int:
+    """The class index of one key of :func:`labeled_orbits`."""
+    return int.from_bytes(key[n * n:], "big")
 
 
 def canonical_table(table, fold_anti_isomorphs: bool = False):

@@ -29,11 +29,17 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain, groupby, islice
 
 from .constructions import _restrict, rees_quotient, u_of, u_of_graphs
-from .core import FiniteSemigroup, Ideal, format_mtab
-from .enumeration import EnumerationConfig, enumerate_semigroups
+from .core import FiniteSemigroup, Ideal, build_semigroup, format_mtab
+from .enumeration import (
+    EnumerationConfig,
+    copy_class,
+    copy_table,
+    enumerate_semigroups,
+    labeled_orbits,
+)
 from .errors import InternalCheckError, RangeError, SemigroupError
 from .green import (
     ORDERED_RELATIONS,
@@ -538,9 +544,22 @@ def _loaded(text: str):
         return text, recipes.load_input(text)
 
 
+def _is_labeled(item) -> bool:
+    """Whether ``item`` is a whole labeled census. A census with a limit
+    streams from the labeled search, which reaches its first tables sooner
+    than the class search and the orbits would."""
+    return (
+        isinstance(item, EnumerationConfig)
+        and not item.up_to_isomorphism
+        and item.limit is None
+    )
+
+
 def _as_inputs(source):
     """(provenance, semigroup) pairs from a config or a list of configs,
-    input strings (recipes, mtab paths or '-') and pairs, in the given order.
+    input strings (recipes, mtab paths or '-') and pairs, in the given order;
+    a whole labeled census config is passed on as it is, for
+    :func:`_labeled_outcomes`.
 
     Every input string is loaded before any config is enumerated, so a bad
     path or recipe fails before a census is generated, and stdin named twice
@@ -551,7 +570,9 @@ def _as_inputs(source):
     recipes.reject_repeated_stdin(item for item in items if isinstance(item, str))
     items = [_loaded(item) if isinstance(item, str) else item for item in items]
     for item in items:
-        if isinstance(item, EnumerationConfig):
+        if _is_labeled(item):
+            yield item
+        elif isinstance(item, EnumerationConfig):
             for i, s in enumerate(enumerate_semigroups(item)):
                 yield f"enum:order={item.order}:index={i}", s
         else:
@@ -603,6 +624,93 @@ def _outcomes(inputs, jobs: int):
             raise
 
 
+# Every STRIDE-th copy of a labeled census is evaluated on its own labels as
+# well, and must give its class's replayed outcome.
+STRIDE = 64
+
+
+def _replayed(provenance: str, order: int, state):
+    """The outcome of a copy of a class that holds every claim, rebuilt from
+    the class's ``(report items, claim items, triple)``."""
+    report, claims, triple = state
+    record = {
+        "input": {"provenance": provenance, "order": order},
+        "report": dict(report),
+        "claims": [dict(claim) for claim in claims],
+    }
+    return record, [], triple
+
+
+def _labeled_outcomes(config: EnumerationConfig, jobs: int):
+    """The outcome of each table of a labeled census, in census order, from
+    one evaluation per isomorphism class.
+
+    Green's relations are preserved by isomorphism, so the heights, the flags
+    and every verdict are the same on each copy of a class; only a failed
+    claim's witness and its violation's table name elements. Each class is
+    evaluated once, by :func:`_outcomes`, under the provenance of its first
+    copy, its canonical table, and every other copy gets that record with its
+    own provenance. Two kinds of copy are evaluated on their own labels: each
+    copy of a class that fails a claim, so that its witnesses and violations
+    name its own elements, and every STRIDE-th copy, whose outcome must equal
+    the replay or InternalCheckError names it. :func:`labeled_orbits` checks
+    the count of copies against the known labeled total.
+    """
+    n = config.order
+    classes = list(enumerate_semigroups(EnumerationConfig(order=n, up_to_isomorphism=True)))
+    keys, first = labeled_orbits([s.table for s in classes])
+    provenance = f"enum:order={n}:index={{}}".format
+    evaluated = [(provenance(i), s) for i, s in zip(first, classes)]
+    del classes
+
+    def own_labels(indices):
+        for i in indices:
+            yield provenance(i), build_semigroup(copy_table(keys[i], n))
+
+    strided = range(0, len(keys), STRIDE)
+    # per class: the outcome as tuples shared between equal classes, or None
+    # where a claim fails
+    states: list = []
+    shared: dict = {}
+    with closing(_outcomes(chain(evaluated, own_labels(strided)), jobs)) as outcomes:
+        for record, violations, triple in islice(outcomes, len(evaluated)):
+            if violations:
+                states.append(None)
+                continue
+            state = (
+                tuple(record["report"].items()),
+                tuple(tuple(claim.items()) for claim in record["claims"]),
+                triple,
+            )
+            states.append(shared.setdefault(state, state))
+        del evaluated, shared
+        for outcome, i in zip(outcomes, strided):
+            state = states[copy_class(keys[i], n)]
+            if state is not None and outcome != _replayed(provenance(i), n, state):
+                raise InternalCheckError(
+                    f"{provenance(i)}: evaluated on its own labels, this table differs "
+                    "from the record of its isomorphism class"
+                )
+    failing = own_labels(i for i, key in enumerate(keys) if states[copy_class(key, n)] is None)
+    with closing(_outcomes(failing, jobs)) as own:
+        for i, key in enumerate(keys):
+            state = states[copy_class(key, n)]
+            yield next(own) if state is None else _replayed(provenance(i), n, state)
+
+
+def _sweep_outcomes(source, jobs: int):
+    """The outcome of each input of ``source``, in input order: each run of
+    pairs through one :func:`_outcomes`, and each labeled census through
+    :func:`_labeled_outcomes`."""
+    for labeled, items in groupby(_as_inputs(source), key=_is_labeled):
+        if labeled:
+            for config in items:
+                yield from _labeled_outcomes(config, jobs)
+        else:
+            with closing(_outcomes(items, jobs)) as outcomes:
+                yield from outcomes
+
+
 def sweep(source, jobs: int = 1, on_record=None) -> SweepSummary:
     """Run analyze + check_claims over a batch of inputs.
 
@@ -613,6 +721,12 @@ def sweep(source, jobs: int = 1, on_record=None) -> SweepSummary:
     aggregated one at a time, in this process (``jobs=1``) or in a pool of
     ``jobs`` worker processes, capped at the CPUs this process may use.
     Errors propagate with the offending provenance attached.
+
+    A whole labeled census (a config without ``up_to_isomorphism`` or
+    ``limit``) is built from its isomorphism classes and evaluated once per
+    class, and each labeled copy gets its class's record under its own
+    provenance (:func:`_labeled_outcomes`). The records are those of
+    evaluating every copy.
 
     Each input's record is kept in ``SweepSummary.records``, or, with
     ``on_record``, handed to it in input order and not kept, so that memory
@@ -626,7 +740,7 @@ def sweep(source, jobs: int = 1, on_record=None) -> SweepSummary:
     stats = {claim_id: [0, 0] for claim_id in CLAIM_IDS}
     violations: list[Violation] = []
     triples = set()
-    with closing(_outcomes(_as_inputs(source), jobs)) as outcomes:
+    with closing(_sweep_outcomes(source, jobs)) as outcomes:
         for record, viols, triple in outcomes:
             inputs += 1
             keep(record)

@@ -13,6 +13,7 @@ from greenheights.cli import main
 from greenheights.errors import InternalCheckError, ParseError
 from greenheights.verify import report_payload, summary_csv_rows
 import greenheights.cli as cli_module
+import greenheights.enumeration as enumeration_module
 import greenheights.verify as verify_module
 
 from helpers import INJECTED_FAULTS
@@ -353,6 +354,29 @@ def test_verify_checks_its_output_paths_before_the_sweep(
     assert out == ""
     assert err.startswith("error: ") and str(path) in err
     assert not (tmp_path / "missing").exists()
+
+
+def _drop_a_relabelling(monkeypatch):
+    every = enumeration_module._relabellings(4)
+    monkeypatch.setattr(enumeration_module, "_relabellings", lambda n: every[:-1])
+    return "188 classes of order 4 have 3380 labeled copies, not 3492"
+
+
+def _label_dependent_verdict(monkeypatch):
+    monkeypatch.setitem(
+        verify_module._EVALUATORS, "thm6.5",
+        lambda c: (True, None) if c.s.table[0][0] == 0 else (False, ("relabelled",)),
+    )
+    return "evaluated on its own labels, this table differs from the record"
+
+
+@pytest.mark.parametrize("fault", [_drop_a_relabelling, _label_dependent_verdict],
+                         ids=["count", "stride"])
+def test_a_wrong_labeled_census_exits_three(capsys, monkeypatch, fault):
+    message = fault(monkeypatch)
+    code, out, err = run(capsys, "verify", "--enumerate-order", "4")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal cross-check failure: ") and message in err
 
 
 def test_a_failed_verify_leaves_existing_outputs_unchanged(capsys, tmp_path, monkeypatch):

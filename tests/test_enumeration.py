@@ -15,10 +15,14 @@ from greenheights import (
     random_transformation_subsemigroup,
 )
 from greenheights.enumeration import (
+    LABELED_COUNTS,
     associative_tables,
     canonical_table,
     closure,
     compose,
+    copy_class,
+    copy_table,
+    labeled_orbits,
 )
 
 from helpers import (
@@ -113,6 +117,52 @@ def test_a_non_canonical_table_from_the_search_is_an_internal_error(monkeypatch)
     monkeypatch.setattr(enumeration_module, "canonical_table", lambda table, fold: ())
     with pytest.raises(InternalCheckError):
         _classes(3, False)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_labeled_orbits_equal_the_labeled_search_table_for_table(order):
+    classes = _classes(order, False)
+    keys, first = labeled_orbits(classes)
+    assert [copy_table(key, order) for key in keys] == list(census_tables(order))
+    assert len(keys) == LABELED_COUNTS[order]
+    # each class first appears as its canonical table, in class order
+    assert [copy_table(keys[i], order) for i in first] == classes
+    assert [copy_class(keys[i], order) for i in first] == list(range(len(classes)))
+    assert first == sorted(first)
+    for key in keys:
+        assert canonical_table(copy_table(key, order)) == classes[copy_class(key, order)]
+
+
+def test_a_dropped_relabelling_fails_the_labeled_count(monkeypatch):
+    classes = _classes(4, False)
+    every = enumeration_module._relabellings(4)
+    monkeypatch.setattr(enumeration_module, "_relabellings", lambda n: every[:-1])
+    with pytest.raises(InternalCheckError, match="have 3380 labeled copies, not 3492"):
+        labeled_orbits(classes)
+
+
+def test_a_missing_class_fails_the_labeled_count():
+    classes = _classes(3, False)
+    with pytest.raises(InternalCheckError, match="not 113"):
+        labeled_orbits(classes[:-1])
+
+
+def test_classes_out_of_order_are_an_internal_error():
+    classes = _classes(3, False)
+    classes[1], classes[2] = classes[2], classes[1]
+    with pytest.raises(InternalCheckError, match="class 2 of order 3 appears before class 1"):
+        labeled_orbits(classes)
+
+
+def test_a_class_that_is_not_canonical_is_an_internal_error():
+    classes = _classes(3, False)
+    # the reversal of the labels takes a class to a copy that is not canonical
+    k = next(k for k, t in enumerate(classes)
+             if tuple(tuple(2 - t[2 - i][2 - j] for j in range(3)) for i in range(3)) != t)
+    t = classes[k]
+    classes[k] = tuple(tuple(2 - t[2 - i][2 - j] for j in range(3)) for i in range(3))
+    with pytest.raises(InternalCheckError, match=f"class {k} of order 3 first appears"):
+        labeled_orbits(classes)
 
 
 def test_representatives_are_canonical_and_sorted():

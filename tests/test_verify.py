@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import functools
 import json
 import multiprocessing
 import os
@@ -47,11 +48,13 @@ from greenheights.verify import (
     summary_csv_rows,
 )
 
+import greenheights.enumeration as enumeration_module
 import greenheights.verify as verify_module
 
 from helpers import (
     INJECTED_FAULTS,
     census,
+    census_tables,
     cyclic_group,
     differential_inputs,
     extension_inputs,
@@ -843,8 +846,95 @@ def test_sweep_hands_each_record_to_on_record_and_keeps_none(jobs):
     assert dataclasses.replace(streamed, records=kept.records) == kept
 
 
+def _labeled_pairs(order):
+    """The labeled census of one order as (provenance, semigroup) pairs, which
+    a sweep evaluates one by one."""
+    return [(f"enum:order={order}:index={i}", s) for i, s in enumerate(census(order))]
+
+
+@functools.lru_cache(maxsize=None)
+def _evaluated_directly(order):
+    return [verify_module._evaluate(pair) for pair in _labeled_pairs(order)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_the_labeled_census_gives_each_table_its_own_direct_evaluation(order, jobs):
+    direct = _evaluated_directly(order)
+    summary = sweep(EnumerationConfig(order=order), jobs=jobs)
+    assert summary.records == [record for record, _, _ in direct]
+    assert summary.violations == [v for _, violations, _ in direct for v in violations]
+    assert summary.attained_triples == sorted({triple for _, _, triple in direct})
+    stats = {claim_id: [0, 0] for claim_id in CLAIM_IDS}
+    for record, _, _ in direct:
+        for claim in record["claims"]:
+            stats[claim["claim_id"]][0] += claim["applicable"]
+            stats[claim["claim_id"]][1] += claim["applicable"] and claim["holds"]
+    assert summary.claim_stats == {claim_id: tuple(v) for claim_id, v in stats.items()}
+
+
+def test_a_labeled_census_with_a_limit_streams_its_prefix():
+    summary = sweep(EnumerationConfig(order=4, limit=200))
+    assert summary.records == [record for record, _, _ in _evaluated_directly(4)[:200]]
+
+
+def _fails_on_order_three_with_a_zero(c):
+    if c.s.order == 3 and c.s.zero is not None:
+        return False, verify_module._chains(c.s, "LR")
+    return True, None
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_every_copy_of_a_failing_class_is_evaluated_on_its_own_labels(monkeypatch, jobs):
+    if jobs > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers must inherit the patched evaluator")
+    monkeypatch.setitem(verify_module._EVALUATORS, "thm6.5", _fails_on_order_three_with_a_zero)
+    summary = sweep(EnumerationConfig(order=3), jobs=jobs)
+    assert summary == sweep(_labeled_pairs(3))
+    failed = [v for v in summary.violations if v.claim_id == "thm6.5"]
+    assert len(failed) == sum(s.zero is not None for s in census(3)) > 0
+    # the witnesses name each copy's own elements, so copies of one class differ
+    witnesses = {r["claims"][CLAIM_IDS.index("thm6.5")]["witness"] for r in summary.records}
+    assert len(witnesses) > 2
+
+
+def test_a_label_dependent_verdict_is_caught_on_the_stride(monkeypatch):
+    # every canonical table has 0*0 = 0, so each class holds, and the first
+    # strided copy with 0*0 != 0 fails on its own labels
+    def holds_where_zero_squares_to_zero(c):
+        return (True, None) if c.s.table[0][0] == 0 else (False, ("relabelled",))
+
+    monkeypatch.setitem(verify_module._EVALUATORS, "thm6.5", holds_where_zero_squares_to_zero)
+    tables = census_tables(4)
+    index = next(i for i in range(0, len(tables), verify_module.STRIDE) if tables[i][0][0] != 0)
+    with pytest.raises(InternalCheckError) as info:
+        sweep(EnumerationConfig(order=4), on_record=lambda record: None)
+    assert str(info.value).startswith(f"enum:order=4:index={index}: ")
+
+
+def test_an_error_on_a_class_names_its_first_labeled_copy(monkeypatch):
+    def fails_with_a_zero(c):
+        if c.s.zero is not None:
+            raise RuntimeError("induced")
+        return True, None
+
+    monkeypatch.setitem(verify_module._EVALUATORS, "thm6.5", fails_with_a_zero)
+    # the first table with a zero is the canonical table of the first class
+    # with a zero, so the direct sweep stops at the same table
+    index = next(i for i, s in enumerate(census(3)) if s.zero is not None)
+    assert enumeration_module.canonical_table(census_tables(3)[index]) == census_tables(3)[index]
+    for source in (EnumerationConfig(order=3), _labeled_pairs(3)):
+        with pytest.raises(RuntimeError) as info:
+            sweep(source)
+        assert str(info.value) == f"enum:order=3:index={index}: induced"
+
+
 def _counted_census(monkeypatch, inputs, pulled):
-    """Replace the census generator by ``inputs``, counting how many were taken."""
+    """Replace the census generator by ``inputs``, counting how many were taken.
+
+    The tests sweep it as a census up to isomorphism, which streams the
+    generator through the pool; a labeled census would refuse 400 classes of
+    order 1, which have 400 labeled copies and not 1."""
 
     def census_of(config):
         for s in inputs:
@@ -852,6 +942,9 @@ def _counted_census(monkeypatch, inputs, pulled):
             yield s
 
     monkeypatch.setattr(verify_module, "enumerate_semigroups", census_of)
+
+
+_FAKE_CLASSES = EnumerationConfig(order=1, up_to_isomorphism=True)
 
 
 def test_sweep_with_workers_stays_within_its_window(monkeypatch):
@@ -863,7 +956,7 @@ def test_sweep_with_workers_stays_within_its_window(monkeypatch):
         # the rest of the chunk this record came from
         ahead.append(len(pulled) - len(ahead))
 
-    summary = sweep(EnumerationConfig(order=1), jobs=jobs, on_record=on_record)
+    summary = sweep(_FAKE_CLASSES, jobs=jobs, on_record=on_record)
     assert summary.inputs == len(ahead) == len(pulled) == 400
     workers = min(jobs, verify_module._usable_cpus())
     window = verify_module.WINDOW_PER_JOB * workers * verify_module.CHUNK
@@ -920,7 +1013,7 @@ def test_the_pool_is_capped_at_the_usable_cpus(monkeypatch, jobs, affinity, cpu_
         if not submitted_before_first_record:
             submitted_before_first_record.append(pools[0].submitted)
 
-    summary = sweep(EnumerationConfig(order=1), jobs=jobs, on_record=on_record)
+    summary = sweep(_FAKE_CLASSES, jobs=jobs, on_record=on_record)
     assert summary.inputs == 400
     assert [pool.max_workers for pool in pools] == [workers]  # jobs > 1 still takes the pool
     assert submitted_before_first_record == [verify_module.WINDOW_PER_JOB * workers]
@@ -936,7 +1029,7 @@ def test_an_error_in_on_record_stops_the_workers(monkeypatch):
             raise OSError("no space left")
 
     with pytest.raises(OSError, match="no space left"):
-        sweep(EnumerationConfig(order=1), jobs=2, on_record=disk_full_at_the_third)
+        sweep(_FAKE_CLASSES, jobs=2, on_record=disk_full_at_the_third)
     assert len(handed) == 3 and len(pulled) < 400
 
 
@@ -956,6 +1049,6 @@ def test_an_error_in_a_worker_stops_the_sweep_and_names_the_input(monkeypatch):
 
     monkeypatch.setitem(verify_module._EVALUATORS, "thm6.5", fails_on_order_two)
     with pytest.raises(RuntimeError) as info:
-        sweep(EnumerationConfig(order=1), jobs=2, on_record=lambda record: None)
+        sweep(_FAKE_CLASSES, jobs=2, on_record=lambda record: None)
     assert str(info.value) == "enum:order=1:index=20: induced"
     assert len(pulled) < 400
