@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import stat
 import sys
 import warnings
 from contextlib import ExitStack, contextmanager
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .core import format_mtab
 from .enumeration import EnumerationConfig, enumerate_semigroups
@@ -113,25 +116,111 @@ def _report_around(summary: SweepSummary) -> tuple[str, str]:
     return head + '"inputs": [', "]" + tail
 
 
+# the types whose equal values render alike, in JSON and in CSV
+_SCALARS = frozenset({str, int, bool, type(None)})
+_RECORD_FIELDS = ("input", "report", "claims")
+_INPUT_FIELDS = ("provenance", "order")
+# the characters for which csv.QUOTE_MINIMAL quotes a field
+_CSV_QUOTED = frozenset(',"\r\n')
+
+
+def _body_key(record: dict):
+    """A key that two records share only if their ``report`` and ``claims``
+    render alike, or None if the record is not to be memoised: a claim's
+    witness (a tuple) or any value other than a str, int, bool or None.
+    Value types are part of the key, since ``True == 1`` and ``1 == 1.0``."""
+    head = record["input"]
+    if (
+        tuple(record) != _RECORD_FIELDS
+        or tuple(head) != _INPUT_FIELDS
+        or type(head["provenance"]) is not str
+        or type(head["order"]) is not int
+    ):
+        return None
+    parts = [record["report"], *record["claims"]]
+    fields = tuple(chain.from_iterable(chain.from_iterable(map(dict.items, parts))))
+    types = tuple(map(type, fields))
+    if not _SCALARS.issuperset(types):
+        return None
+    return tuple(map(len, parts)), fields, types
+
+
+def _input_head(head: dict) -> str:
+    """A record's text up to the end of its ``"input"`` object, as
+    ``JSONEncoder(indent=2)`` renders it at the depth of ``"inputs"``."""
+    return (
+        '{\n      "input": {\n        "provenance": '
+        + encode_basestring_ascii(head["provenance"])
+        + ',\n        "order": '
+        + int.__repr__(head["order"])
+        + "\n      }"
+    )
+
+
 class _StreamedReport:
     """Writes ``json.dumps(report_payload(summary), indent=2)`` and a newline
     one input record at a time: each record is indented to its depth in the
     document (JSON strings hold no raw newline), and the text around the
-    records is cut from report_payload's own rendering."""
+    records is cut from report_payload's own rendering.
+
+    A record's text after its ``"input"`` object is encoded once per distinct
+    body key (:func:`_body_key`) and reused; the ``"input"`` object is written
+    as the encoder writes it, from the provenance's ASCII escape and the
+    order's repr."""
 
     def __init__(self, handle):
         self.handle = handle
         self.encode = json.JSONEncoder(indent=2).encode
         self.separator = "\n    "
+        self.bodies: dict = {}
         handle.write(_report_around(SweepSummary(0, {}, [], [], []))[0])
 
-    def add(self, record: dict):
-        self.handle.write(self.separator + self.encode(record).replace("\n", "\n    "))
+    def add(self, record: dict, key):
+        body = self.bodies.get(key)  # None is never a key
+        if body is None:
+            text = self.encode(record).replace("\n", "\n    ")
+            if key is not None:
+                self.bodies[key] = text[len(_input_head(record["input"])):]
+        else:
+            text = _input_head(record["input"]) + body
+        self.handle.write(self.separator + text)
         self.separator = ",\n    "
 
     def finish(self, summary: SweepSummary):
         closing = "" if self.separator == "\n    " else "\n  "
         self.handle.write(closing + _report_around(summary)[1])
+
+
+class _StreamedCSV:
+    """Writes ``summary_csv_rows(summary)`` as ``csv.writer`` does, one input
+    record at a time. A record's rows after their provenance and order are
+    rendered once per distinct body key (:func:`_body_key`) and reused,
+    unless QUOTE_MINIMAL would quote the provenance."""
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.writer = csv.writer(handle)
+        self.writer.writerow(CSV_HEADER)
+        self.bodies: dict = {}
+
+    def add(self, record: dict, key):
+        provenance = record["input"]["provenance"]
+        if key is None or not _CSV_QUOTED.isdisjoint(provenance):
+            self.writer.writerows(record_csv_rows(record))
+            return
+        prefix = f"{provenance},{record['input']['order']}"
+        rows = self.bodies.get(key)
+        if rows is None:
+            rows = [_csv_line(row)[len(prefix):] for row in record_csv_rows(record)]
+            self.bodies[key] = rows
+        if rows:
+            self.handle.write(prefix + prefix.join(rows))
+
+
+def _csv_line(row) -> str:
+    line = io.StringIO(newline="")
+    csv.writer(line).writerow(row)
+    return line.getvalue()
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None):
@@ -193,16 +282,16 @@ def _cmd_verify(args) -> int:
         if args.report is not None:
             report = _StreamedReport(outputs.enter_context(_output_file(args.report)))
         if args.csv is not None:
-            table = csv.writer(outputs.enter_context(_output_file(args.csv, newline="")))
-            table.writerow(CSV_HEADER)
+            table = _StreamedCSV(outputs.enter_context(_output_file(args.csv, newline="")))
         if args.triples_log is not None:
             triples_log = outputs.enter_context(_output_file(args.triples_log))
 
         def write_record(record):
+            key = _body_key(record)
             if report is not None:
-                report.add(record)
+                report.add(record, key)
             if table is not None:
-                table.writerows(record_csv_rows(record))
+                table.add(record, key)
 
         summary = sweep(inputs, jobs=args.jobs, on_record=write_record)
         if report is not None:

@@ -483,10 +483,21 @@ def _fail_when_left_height_is_two(c):
     [
         ("census", 1, None),
         ("census", 2, None),
+        ("census4", 1, None),
+        ("census4", 2, None),
         ("names", 1, _fail_with_chains),
+        ("twice", 1, None),
         ("census", 1, _fail_when_left_height_is_two),
     ],
-    ids=["census-jobs1", "census-jobs2", "quotes-backslashes-non-ascii", "violations"],
+    ids=[
+        "census-jobs1",
+        "census-jobs2",
+        "census4-jobs1",
+        "census4-jobs2",
+        "quotes-backslashes-non-ascii",
+        "one-passing-input-twice-comma-quote-non-ascii",
+        "violations",
+    ],
 )
 def test_streamed_report_and_csv_equal_the_whole_summary_forms(
     capsys, tmp_path, monkeypatch, source, jobs, evaluator
@@ -495,18 +506,28 @@ def test_streamed_report_and_csv_equal_the_whole_summary_forms(
 
     if evaluator is not None:
         monkeypatch.setitem(verify_module._EVALUATORS, "thm6.1", evaluator)
-    if source == "census":
-        argv, inputs = ["--enumerate-order", "3"], EnumerationConfig(order=3)
-    else:
+    if source.startswith("census"):
+        order = 4 if source == "census4" else 3
+        argv, inputs = ["--enumerate-order", str(order)], EnumerationConfig(order=order)
+    elif source == "names":
         mtab = tmp_path / 'tab "é\\ł.mtab'
         mtab.write_text('3\n0 1 2\n2 2 2\n2 2 2\nnames: "e\\ ä\\"z ℤ"\n', encoding="utf-8")
         argv, inputs = [str(mtab)], [str(mtab)]
+    else:
+        # the body is first written under a plain provenance, then reused
+        # twice under one that JSON escapes and CSV quotes
+        plain, mtab = tmp_path / "tab.mtab", tmp_path / 'tab, "é".mtab'
+        for path in (plain, mtab):
+            path.write_text("3\n0 1 2\n2 2 2\n2 2 2\n", encoding="utf-8")
+        argv = inputs = [str(plain), str(mtab), str(mtab)]
     report, rows = tmp_path / "r.json", tmp_path / "r.csv"
     code, _, _ = run(
         capsys, "verify", *argv, "--jobs", str(jobs), "--report", str(report), "--csv", str(rows)
     )
     summary = sweep(inputs)
     assert code == (1 if summary.violations else 0)
+    if source == "twice":
+        assert not summary.violations
     if evaluator is not None:
         assert summary.violations and any(
             c["witness"] for r in summary.records for c in r["claims"]
@@ -514,6 +535,68 @@ def test_streamed_report_and_csv_equal_the_whole_summary_forms(
     expected_report, expected_rows = _expected_outputs(summary)
     assert report.read_text(encoding="utf-8") == expected_report
     assert rows.read_bytes().decode("utf-8") == expected_rows
+
+
+def _records_summary(records, kept=True):
+    from greenheights.verify import SweepSummary
+
+    return SweepSummary(len(records), {}, [], [], records if kept else [])
+
+
+def _write_streamed(records):
+    """The report and CSV text of ``records`` by verify's streaming writers,
+    and the two writers."""
+    report_text, rows_text = io.StringIO(), io.StringIO(newline="")
+    report, table = cli_module._StreamedReport(report_text), cli_module._StreamedCSV(rows_text)
+    for record in records:
+        key = cli_module._body_key(record)
+        report.add(record, key)
+        table.add(record, key)
+    report.finish(_records_summary(records, kept=False))
+    return (report_text.getvalue(), rows_text.getvalue()), report, table
+
+
+def _hand_record(provenance, regular, holds, height):
+    return {
+        "input": {"provenance": provenance, "order": 2},
+        "report": {"H_L": height, "regular": regular},
+        "claims": [{"claim_id": "thm6.1", "applicable": True, "holds": holds, "witness": None}],
+    }
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (_hand_record("a", True, True, 1), _hand_record("b", 1, 1, 1)),
+        (_hand_record("a", 1, 1, 1), _hand_record("b", True, True, 1)),
+        (_hand_record("a", True, True, 1), _hand_record("b", True, True, 1.0)),
+        (_hand_record("a", True, True, 1.0), _hand_record("b", True, True, 1)),
+    ],
+    ids=["true-then-one", "one-then-true", "int-then-float", "float-then-int"],
+)
+def test_records_equal_under_eq_but_rendered_apart_are_written_apart(first, second):
+    assert first["report"] == second["report"] and first["claims"] == second["claims"]
+    records = [first, second, first, second]
+    outputs, _, _ = _write_streamed(records)
+    assert outputs == _expected_outputs(_records_summary(records))
+
+
+def test_the_memo_holds_each_distinct_body_once_and_none_with_a_witness(monkeypatch):
+    from greenheights import EnumerationConfig
+
+    records = sweep(EnumerationConfig(order=3)).records
+    distinct = {json.dumps([r["report"], r["claims"]]) for r in records}
+    outputs, report, table = _write_streamed(records)
+    assert outputs == _expected_outputs(_records_summary(records))
+    assert len(report.bodies) == len(table.bodies) == len(distinct) < len(records)
+
+    monkeypatch.setitem(verify_module._EVALUATORS, "thm6.1", _fail_with_chains)
+    records = sweep(EnumerationConfig(order=2)).records
+    assert all(any(c["witness"] for c in r["claims"]) for r in records)
+    assert all(cli_module._body_key(r) is None for r in records)
+    outputs, report, table = _write_streamed(records)
+    assert outputs == _expected_outputs(_records_summary(records))
+    assert report.bodies == table.bodies == {}
 
 
 def test_a_closed_stdout_does_not_cost_the_finished_outputs(tmp_path, monkeypatch):
