@@ -17,7 +17,6 @@ import stat
 import sys
 import warnings
 from contextlib import ExitStack, contextmanager
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .core import format_mtab
@@ -116,33 +115,8 @@ def _report_around(summary: SweepSummary) -> tuple[str, str]:
     return head + '"inputs": [', "]" + tail
 
 
-# the types whose equal values render alike, in JSON and in CSV
-_SCALARS = frozenset({str, int, bool, type(None)})
-_RECORD_FIELDS = ("input", "report", "claims")
-_INPUT_FIELDS = ("provenance", "order")
 # the characters for which csv.QUOTE_MINIMAL quotes a field
 _CSV_QUOTED = frozenset(',"\r\n')
-
-
-def _body_key(record: dict):
-    """A key that two records share only if their ``report`` and ``claims``
-    render alike, or None if the record is not to be memoised: a claim's
-    witness (a tuple) or any value other than a str, int, bool or None.
-    Value types are part of the key, since ``True == 1`` and ``1 == 1.0``."""
-    head = record["input"]
-    if (
-        tuple(record) != _RECORD_FIELDS
-        or tuple(head) != _INPUT_FIELDS
-        or type(head["provenance"]) is not str
-        or type(head["order"]) is not int
-    ):
-        return None
-    parts = [record["report"], *record["claims"]]
-    fields = tuple(chain.from_iterable(chain.from_iterable(map(dict.items, parts))))
-    types = tuple(map(type, fields))
-    if not _SCALARS.issuperset(types):
-        return None
-    return tuple(map(len, parts)), fields, types
 
 
 def _input_head(head: dict) -> str:
@@ -163,10 +137,13 @@ class _StreamedReport:
     document (JSON strings hold no raw newline), and the text around the
     records is cut from report_payload's own rendering.
 
-    A record's text after its ``"input"`` object is encoded once per distinct
-    body key (:func:`_body_key`) and reused; the ``"input"`` object is written
-    as the encoder writes it, from the provenance's ASCII escape and the
-    order's repr."""
+    A record's text after its ``"input"`` object is encoded once per body,
+    the pair of ``report`` and ``claims`` objects that :func:`sweep` shares
+    between records of equal outcome, and reused; the ``"input"`` object is
+    written as the encoder writes it, from the provenance's ASCII escape and
+    the order's repr. The memo holds each body it keys by id, so that no id
+    is reused: one entry per distinct shared body, plus at most one per
+    record with a failed claim, for which the sweep keeps a Violation too."""
 
     def __init__(self, handle):
         self.handle = handle
@@ -175,14 +152,14 @@ class _StreamedReport:
         self.bodies: dict = {}
         handle.write(_report_around(SweepSummary(0, {}, [], [], []))[0])
 
-    def add(self, record: dict, key):
-        body = self.bodies.get(key)  # None is never a key
-        if body is None:
-            text = self.encode(record).replace("\n", "\n    ")
-            if key is not None:
-                self.bodies[key] = text[len(_input_head(record["input"])):]
+    def add(self, record: dict):
+        body = record["report"], record["claims"]
+        key = tuple(map(id, body))
+        if key in self.bodies:
+            text = _input_head(record["input"]) + self.bodies[key][1]
         else:
-            text = _input_head(record["input"]) + body
+            text = self.encode(record).replace("\n", "\n    ")
+            self.bodies[key] = body, text[len(_input_head(record["input"])):]
         self.handle.write(self.separator + text)
         self.separator = ",\n    "
 
@@ -194,8 +171,10 @@ class _StreamedReport:
 class _StreamedCSV:
     """Writes ``summary_csv_rows(summary)`` as ``csv.writer`` does, one input
     record at a time. A record's rows after their provenance and order are
-    rendered once per distinct body key (:func:`_body_key`) and reused,
-    unless QUOTE_MINIMAL would quote the provenance."""
+    rendered once per ``claims`` list, which :func:`sweep` shares between
+    records of equal outcome, and reused, unless QUOTE_MINIMAL would quote
+    the provenance. The memo holds each list it keys by id, and is bounded
+    as :class:`_StreamedReport`'s is."""
 
     def __init__(self, handle):
         self.handle = handle
@@ -203,16 +182,17 @@ class _StreamedCSV:
         self.writer.writerow(CSV_HEADER)
         self.bodies: dict = {}
 
-    def add(self, record: dict, key):
+    def add(self, record: dict):
         provenance = record["input"]["provenance"]
-        if key is None or not _CSV_QUOTED.isdisjoint(provenance):
+        if not _CSV_QUOTED.isdisjoint(provenance):
             self.writer.writerows(record_csv_rows(record))
             return
         prefix = f"{provenance},{record['input']['order']}"
-        rows = self.bodies.get(key)
-        if rows is None:
+        claims = record["claims"]
+        if id(claims) not in self.bodies:
             rows = [_csv_line(row)[len(prefix):] for row in record_csv_rows(record)]
-            self.bodies[key] = rows
+            self.bodies[id(claims)] = claims, rows
+        rows = self.bodies[id(claims)][1]
         if rows:
             self.handle.write(prefix + prefix.join(rows))
 
@@ -287,11 +267,10 @@ def _cmd_verify(args) -> int:
             triples_log = outputs.enter_context(_output_file(args.triples_log))
 
         def write_record(record):
-            key = _body_key(record)
             if report is not None:
-                report.add(record, key)
+                report.add(record)
             if table is not None:
-                table.add(record, key)
+                table.add(record)
 
         summary = sweep(inputs, jobs=args.jobs, on_record=write_record)
         if report is not None:

@@ -220,7 +220,8 @@ def _eval_lem552(c: _Context):
     for i, a in enumerate(nonzero):
         position[a] = i
     # both tables are associative and the images of G_S generate U/soc (x_1
-    # lies in the socle), so equal right Cayley graphs over G_S mean equal tables
+    # lies in the socle), so equal right Cayley graphs over G_S mean equal
+    # tables; unequal graphs with equal tables mean the graph is wrong
     right = c.extension_graphs.right
     columns = [position[g] for g in s.generators]
     if all(
@@ -231,7 +232,7 @@ def _eval_lem552(c: _Context):
     u = c.extension
     got = rees_quotient(u, Ideal(u, socle)).table
     if got == want:
-        return True, None
+        raise InternalCheckError("lem5.5.2: U(S)'s right Cayley graph disagrees with its table")
     mapping = nonzero + [s.zero]
     a, b = next((a, b) for a, row in enumerate(got) for b, x in enumerate(row) if x != want[a][b])
     return False, (f"quotient disagrees at ({s.name_of(mapping[a])},{s.name_of(mapping[b])})",)
@@ -630,18 +631,13 @@ STRIDE = 64
 
 
 def _replayed(provenance: str, order: int, state):
-    """The outcome of a copy of a class that holds every claim, rebuilt from
-    the class's ``(report items, claim items, triple)``."""
-    report, claims, triple = state
-    record = {
-        "input": {"provenance": provenance, "order": order},
-        "report": dict(report),
-        "claims": [dict(claim) for claim in claims],
-    }
-    return record, [], triple
+    """The outcome of a copy of a class that holds every claim: a new
+    ``"input"`` around the body of the class's interned ``(record, triple)``."""
+    record, triple = state
+    return {**record, "input": {"provenance": provenance, "order": order}}, [], triple
 
 
-def _labeled_outcomes(config: EnumerationConfig, jobs: int):
+def _labeled_outcomes(config: EnumerationConfig, jobs: int, intern):
     """The outcome of each table of a labeled census, in census order, from
     one evaluation per isomorphism class.
 
@@ -649,8 +645,9 @@ def _labeled_outcomes(config: EnumerationConfig, jobs: int):
     and every verdict are the same on each copy of a class; only a failed
     claim's witness and its violation's table name elements. Each class is
     evaluated once, by :func:`_outcomes`, under the provenance of its first
-    copy, its canonical table, and every other copy gets that record with its
-    own provenance. Two kinds of copy are evaluated on their own labels: each
+    copy, its canonical table, and ``intern`` makes its record share the body
+    of equal classes; every other copy gets that body under its own
+    provenance. Two kinds of copy are evaluated on their own labels: each
     copy of a class that fails a claim, so that its witnesses and violations
     name its own elements, and every STRIDE-th copy, whose outcome must equal
     the replay or InternalCheckError names it. :func:`labeled_orbits` checks
@@ -668,22 +665,13 @@ def _labeled_outcomes(config: EnumerationConfig, jobs: int):
             yield provenance(i), build_semigroup(copy_table(keys[i], n))
 
     strided = range(0, len(keys), STRIDE)
-    # per class: the outcome as tuples shared between equal classes, or None
-    # where a claim fails
+    # per class: its interned (record, triple), or None where a claim fails
     states: list = []
-    shared: dict = {}
     with closing(_outcomes(chain(evaluated, own_labels(strided)), jobs)) as outcomes:
-        for record, violations, triple in islice(outcomes, len(evaluated)):
-            if violations:
-                states.append(None)
-                continue
-            state = (
-                tuple(record["report"].items()),
-                tuple(tuple(claim.items()) for claim in record["claims"]),
-                triple,
-            )
-            states.append(shared.setdefault(state, state))
-        del evaluated, shared
+        for outcome in islice(outcomes, len(evaluated)):
+            record, violations, triple = intern(outcome)
+            states.append(None if violations else (record, triple))
+        del evaluated
         for outcome, i in zip(outcomes, strided):
             state = states[copy_class(keys[i], n)]
             if state is not None and outcome != _replayed(provenance(i), n, state):
@@ -698,17 +686,37 @@ def _labeled_outcomes(config: EnumerationConfig, jobs: int):
             yield next(own) if state is None else _replayed(provenance(i), n, state)
 
 
+def _interning():
+    """A function that gives an outcome's record the ``report`` and ``claims``
+    of the first record it was given that renders alike, and returns the
+    outcome; a record with a failed claim or a witness keeps its own. Without
+    a witness every value is a str, an int, a bool or None, so the key, the
+    body's repr, holds each value's type too: ``True == 1`` and ``1 == 1.0``
+    render apart, and so do their reprs."""
+    bodies: dict = {}
+
+    def intern(outcome):
+        record, violations, _ = outcome
+        body = record["report"], record["claims"]
+        if not violations and all(claim["witness"] is None for claim in body[1]):
+            record["report"], record["claims"] = bodies.setdefault(repr(body), body)
+        return outcome
+
+    return intern
+
+
 def _sweep_outcomes(source, jobs: int):
-    """The outcome of each input of ``source``, in input order: each run of
-    pairs through one :func:`_outcomes`, and each labeled census through
-    :func:`_labeled_outcomes`."""
+    """The outcome of each input of ``source``, in input order, interned
+    (:func:`_interning`): each run of pairs through one :func:`_outcomes`,
+    and each labeled census through :func:`_labeled_outcomes`."""
+    intern = _interning()
     for labeled, items in groupby(_as_inputs(source), key=_is_labeled):
         if labeled:
             for config in items:
-                yield from _labeled_outcomes(config, jobs)
+                yield from _labeled_outcomes(config, jobs, intern)
         else:
             with closing(_outcomes(items, jobs)) as outcomes:
-                yield from outcomes
+                yield from map(intern, outcomes)
 
 
 def sweep(source, jobs: int = 1, on_record=None) -> SweepSummary:
@@ -730,7 +738,11 @@ def sweep(source, jobs: int = 1, on_record=None) -> SweepSummary:
 
     Each input's record is kept in ``SweepSummary.records``, or, with
     ``on_record``, handed to it in input order and not kept, so that memory
-    does not grow with the number of inputs.
+    does not grow with the number of inputs. Records of equal outcome, with
+    no failed claim and no witness, share one ``report`` dict and one
+    ``claims`` list, the first such record's (:func:`_interning`), whatever
+    inputs they came from; do not mutate them. One entry per distinct body is
+    kept for the length of the call.
     """
     if jobs < 1:
         raise RangeError(f"jobs must be at least 1, got {jobs}")

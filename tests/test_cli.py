@@ -11,7 +11,7 @@ import pytest
 from greenheights import analyze, fixture, format_mtab, parse_mtab, sweep
 from greenheights.cli import main
 from greenheights.errors import InternalCheckError, ParseError
-from greenheights.verify import report_payload, summary_csv_rows
+from greenheights.verify import CLAIM_IDS, report_payload, summary_csv_rows
 import greenheights.cli as cli_module
 import greenheights.enumeration as enumeration_module
 import greenheights.verify as verify_module
@@ -543,17 +543,28 @@ def _records_summary(records, kept=True):
     return SweepSummary(len(records), {}, [], [], records if kept else [])
 
 
-def _write_streamed(records):
+def _write_streamed(records, monkeypatch):
     """The report and CSV text of ``records`` by verify's streaming writers,
-    and the two writers."""
+    and how many records the report writer and CSV rows the CSV writer
+    encoded."""
     report_text, rows_text = io.StringIO(), io.StringIO(newline="")
     report, table = cli_module._StreamedReport(report_text), cli_module._StreamedCSV(rows_text)
+    encoded = {"report": 0, "csv": 0}
+
+    def counted(name, encode):
+        def count(*args):
+            encoded[name] += 1
+            return encode(*args)
+
+        return count
+
+    report.encode = counted("report", report.encode)
+    monkeypatch.setattr(cli_module, "_csv_line", counted("csv", cli_module._csv_line))
     for record in records:
-        key = cli_module._body_key(record)
-        report.add(record, key)
-        table.add(record, key)
+        report.add(record)
+        table.add(record)
     report.finish(_records_summary(records, kept=False))
-    return (report_text.getvalue(), rows_text.getvalue()), report, table
+    return (report_text.getvalue(), rows_text.getvalue()), encoded
 
 
 def _hand_record(provenance, regular, holds, height):
@@ -574,29 +585,33 @@ def _hand_record(provenance, regular, holds, height):
     ],
     ids=["true-then-one", "one-then-true", "int-then-float", "float-then-int"],
 )
-def test_records_equal_under_eq_but_rendered_apart_are_written_apart(first, second):
+def test_records_equal_under_eq_but_rendered_apart_are_written_apart(
+    monkeypatch, first, second
+):
     assert first["report"] == second["report"] and first["claims"] == second["claims"]
     records = [first, second, first, second]
-    outputs, _, _ = _write_streamed(records)
+    outputs, encoded = _write_streamed(records, monkeypatch)
     assert outputs == _expected_outputs(_records_summary(records))
+    assert encoded == {"report": 2, "csv": 2}
 
 
-def test_the_memo_holds_each_distinct_body_once_and_none_with_a_witness(monkeypatch):
+def test_each_writer_encodes_each_shared_body_once_and_witness_records_in_full(monkeypatch):
     from greenheights import EnumerationConfig
 
     records = sweep(EnumerationConfig(order=3)).records
-    distinct = {json.dumps([r["report"], r["claims"]]) for r in records}
-    outputs, report, table = _write_streamed(records)
+    bodies = {(id(r["report"]), id(r["claims"])) for r in records}
+    assert len(bodies) == len({json.dumps([r["report"], r["claims"]]) for r in records})
+    outputs, encoded = _write_streamed(records, monkeypatch)
     assert outputs == _expected_outputs(_records_summary(records))
-    assert len(report.bodies) == len(table.bodies) == len(distinct) < len(records)
+    assert encoded == {"report": len(bodies), "csv": len(bodies) * len(CLAIM_IDS)}
+    assert len(bodies) < len(records)
 
     monkeypatch.setitem(verify_module._EVALUATORS, "thm6.1", _fail_with_chains)
     records = sweep(EnumerationConfig(order=2)).records
     assert all(any(c["witness"] for c in r["claims"]) for r in records)
-    assert all(cli_module._body_key(r) is None for r in records)
-    outputs, report, table = _write_streamed(records)
+    outputs, encoded = _write_streamed(records, monkeypatch)
     assert outputs == _expected_outputs(_records_summary(records))
-    assert report.bodies == table.bodies == {}
+    assert encoded == {"report": len(records), "csv": len(records) * len(CLAIM_IDS)}
 
 
 def test_a_closed_stdout_does_not_cost_the_finished_outputs(tmp_path, monkeypatch):

@@ -255,6 +255,23 @@ def test_a_graph_socle_that_is_not_an_ideal_fails_as_on_the_table(monkeypatch):
     assert str(got.value) == str(expected.value)
 
 
+def test_a_graph_comparison_that_the_table_contradicts_is_an_internal_error(monkeypatch):
+    s = fixture("fig1_s")
+    real = verify_module.u_of_graphs
+
+    def corrupted(t):  # a*e is z in S; the right graph now says a
+        left, right = real(t)
+        if t is s:
+            right = list(right)
+            right[1] = (1, *right[1][1:])
+        return left, right
+
+    assert _lem552(s).holds
+    monkeypatch.setattr(verify_module, "u_of_graphs", corrupted)
+    with pytest.raises(InternalCheckError, match="lem5.5.2: U\\(S\\)'s right Cayley graph"):
+        check_claims(s)
+
+
 def test_lem22_holds_where_the_minimal_ideal_is_all_of_s(monkeypatch):
     # a group and a 2x2 rectangular band, (i,j)(k,l) = (i,l), are simple
     band = build_semigroup([[2 * (a // 2) + b % 2 for b in range(4)] for a in range(4)])
@@ -910,6 +927,71 @@ def test_a_label_dependent_verdict_is_caught_on_the_stride(monkeypatch):
     with pytest.raises(InternalCheckError) as info:
         sweep(EnumerationConfig(order=4), on_record=lambda record: None)
     assert str(info.value).startswith(f"enum:order=4:index={index}: ")
+
+
+def _one_where_two_idempotents(c):
+    return (1, None) if len(c.s.idempotents) == 2 else (True, None)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verdicts_equal_under_eq_but_rendered_apart_are_never_interned_together(
+    monkeypatch, jobs
+):
+    if jobs > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers must inherit the patched evaluator")
+    monkeypatch.setitem(verify_module._EVALUATORS, "thm6.1", _one_where_two_idempotents)
+    census_size = len(census(3))
+    labeled = sweep(EnumerationConfig(order=3), jobs=jobs).records
+    direct = sweep(EnumerationConfig(order=3, limit=census_size), jobs=jobs).records
+    verdicts = [type(r["claims"][CLAIM_IDS.index("thm6.1")]["holds"]) for r in direct]
+    assert 0 < verdicts.count(int) < verdicts.count(bool)
+    assert list(map(json.dumps, labeled)) == list(map(json.dumps, direct))
+
+
+def _bodies(records):
+    """The records grouped by their rendering: for each, the ids of the
+    (report, claims) objects its records hold."""
+    groups = {}
+    for r in records:
+        groups.setdefault(json.dumps([r["report"], r["claims"]]), set()).add(
+            (id(r["report"]), id(r["claims"]))
+        )
+    return groups
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "source",
+    [
+        EnumerationConfig(order=3),
+        EnumerationConfig(order=4, up_to_isomorphism=True),
+        ["fixture:fig1_s", "sqfree:3", "fixture:fig1_s", "asym:2", "fixture:fig1_s"],
+    ],
+    ids=["labeled", "up-to-iso", "recipes"],
+)
+def test_records_of_equal_outcome_share_one_report_and_one_claims_object(source, jobs):
+    records = sweep(source, jobs=jobs).records
+    groups = _bodies(records)
+    assert len(groups) < len(records)
+    assert all(len(ids) == 1 for ids in groups.values())
+    assert len(set.union(*groups.values())) == len(groups)
+
+
+@pytest.mark.parametrize(
+    "outcome",
+    [
+        lambda c: (False, verify_module._chains(c.s, "L")),
+        lambda c: (True, verify_module._chains(c.s, "L")),
+        lambda c: (False, None),
+    ],
+    ids=["failed-with-witness", "held-with-witness", "failed-without-witness"],
+)
+def test_records_with_a_failed_claim_or_a_witness_keep_their_own_body(monkeypatch, outcome):
+    monkeypatch.setitem(verify_module._EVALUATORS, "thm6.1", outcome)
+    # each table twice: equal records, which a record without either would share
+    records = sweep([*_labeled_pairs(2), *_labeled_pairs(2)]).records
+    assert len({id(r["claims"]) for r in records}) == len(records)
+    assert len({id(r["report"]) for r in records}) == len(records)
 
 
 def test_an_error_on_a_class_names_its_first_labeled_copy(monkeypatch):
